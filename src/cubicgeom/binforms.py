@@ -7,8 +7,7 @@ A projective root (a : b) corresponds to the linear factor  b s - a t.
 
 from __future__ import annotations
 
-from .field import QQ, rat, is_rational
-from .multipoly import MultiPoly
+from .field import QQ, rat, is_rational, inverse
 
 
 class MultipleRootError(ValueError):
@@ -19,18 +18,13 @@ class NotARootError(ValueError):
     """A claimed root does not annihilate the form."""
 
 
-def binary_from_poly(p):
-    """Dense coefficient list of a homogeneous MultiPoly in 2 variables."""
-    d = p.degree()
-    out = [rat(0)] * (d + 1)
+def binary_from_poly(p, degree):
+    """Dense coefficient list [c_0, ..., c_degree] of a binary form held as a
+    MultiPoly in 2 variables; absent terms are zero."""
+    out = [rat(0)] * (degree + 1)
     for (i, j), c in p.terms.items():
         out[j] = c
     return out
-
-
-def binary_to_poly(coeffs):
-    d = len(coeffs) - 1
-    return MultiPoly(2, {(d - j, j): c for j, c in enumerate(coeffs) if c})
 
 
 def eval_binary(coeffs, a, b):
@@ -66,7 +60,7 @@ def _deflate_once(coeffs, a, b):
     """Exact quotient by (b s - a t); the caller guarantees (a : b) is a root."""
     d = len(coeffs) - 1
     if b:
-        binv = 1 / b if is_rational(b) else b.inverse()
+        binv = inverse(b)
         out = []
         # c_j = b q_j - a q_{j-1}  =>  q_j = (c_j + a q_{j-1}) / b
         for j in range(d):
@@ -74,7 +68,7 @@ def _deflate_once(coeffs, a, b):
             out.append((coeffs[j] + a * prev) * binv)
         return out
     # factor is -a t: c_j = -a q_{j-1}, and c_0 = 0 since (1:0) is a root
-    ainv = 1 / a if is_rational(a) else a.inverse()
+    ainv = inverse(a)
     return [-c * ainv for c in coeffs[1:]]
 
 
@@ -88,7 +82,7 @@ def _univ_gcd_degree(p, q):
     """Degree of gcd of two dense (constant-first) univariate polys over a field."""
     p, q = _trim(list(p)), _trim(list(q))
     while q:
-        inv = 1 / q[-1] if is_rational(q[-1]) else q[-1].inverse()
+        inv = inverse(q[-1])
         while len(p) >= len(q):
             f = p[-1] * inv
             off = len(p) - len(q)
@@ -98,6 +92,16 @@ def _univ_gcd_degree(p, q):
             _trim(p)
         p, q = q, p
     return len(p) - 1
+
+
+def _has_repeated_root(dense):
+    return _univ_gcd_degree(dense, [dense[k] * k for k in range(1, len(dense))]) > 0
+
+
+def irreducible_over_q(dense):
+    """Whether a rational polynomial of degree 2 or 3 (dense, constant first)
+    is irreducible over Q: it has neither a repeated nor a rational root."""
+    return not _has_repeated_root(dense) and not _rational_roots(dense)
 
 
 def _rational_roots(dense):
@@ -214,8 +218,7 @@ def solve_cubic(coeffs, tower=QQ):
     dense = [c3, c2, c1, c0]
     while dense and not dense[-1]:
         dense.pop()
-    dp = [dense[k] * k for k in range(1, len(dense))]
-    if _univ_gcd_degree(dense, dp) > 0:
+    if _has_repeated_root(dense):
         raise MultipleRootError("repeated finite root")
     rational = _rational_roots(dense)
     residual = dense

@@ -13,7 +13,7 @@ import random
 
 from .field import QQ, rat
 from .linalg import ExactMatrix, det3
-from .multipoly import MultiPoly, monomials
+from .multipoly import MultiPoly, monomials, eval_monomial
 from .binforms import binary_from_poly, deflate_binary_form
 from . import incidence as inc
 from .projgeom import ProjPoint, ProjLine, lines_meet
@@ -65,24 +65,16 @@ def check_general_position(pts):
         if not det3([points[i].coords, points[j].coords, points[k].coords]):
             raise DegeneratePointsError(f"points {i}, {j}, {k} are collinear", (i, j, k))
     conic_monos = monomials(3, 2)
-    m = ExactMatrix([[_eval_monomial(e, p.coords) for e in conic_monos] for p in points])
+    m = ExactMatrix([[eval_monomial(e, p.coords) for e in conic_monos] for p in points])
     if not m.det():
         raise DegeneratePointsError("all six points lie on a conic", tuple(range(6)))
     return True
 
 
-def _eval_monomial(expo, coords):
-    acc = rat(1)
-    for x, k in zip(coords, expo):
-        for _ in range(k):
-            acc = acc * x
-    return acc
-
-
 def cubic_net(pts):
     """Basis (4 cubics) of the net of plane cubics through the six points."""
     points = pts.points if isinstance(pts, SixPoints) else list(pts)
-    m = ExactMatrix([[_eval_monomial(e, p.coords) for e in CUBIC_MONOMIALS_P2]
+    m = ExactMatrix([[eval_monomial(e, p.coords) for e in CUBIC_MONOMIALS_P2]
                      for p in points])
     kern = m.kernel_basis()
     if len(kern) != 4:
@@ -111,10 +103,6 @@ class CubicSurface:
 
     def contains_line(self, line):
         return self.restrict_to_line(line).is_zero()
-
-    def map_point(self, plane_point):
-        """Image in P^3 of a plane point under the cubic net."""
-        return ProjPoint([c.evaluate(plane_point.coords) for c in self.basis])
 
 
 def implicitize(basis, source):
@@ -181,7 +169,7 @@ def _line_c(surface, i, j):
     for cub in surface.basis:
         coords = [MultiPoly(2, {(1, 0): x, (0, 1): y})
                   for x, y in zip(pi.coords, pj.coords)]
-        bin3 = binary_from_poly_padded(cub.substitute(coords), 3)
+        bin3 = binary_from_poly(cub.substitute(coords), 3)
         lin = deflate_binary_form(bin3, [((rat(1), rat(0)), 1), ((rat(0), rat(1)), 1)])
         alphas.append(lin[0])
         betas.append(lin[1])
@@ -195,7 +183,7 @@ def _line_b(surface, i):
     """Image of the conic through the five points other than p_i."""
     others = [k for k in range(6) if k != i]
     conic_monos = monomials(3, 2)
-    rows = [[_eval_monomial(e, surface.source[k].coords) for e in conic_monos]
+    rows = [[eval_monomial(e, surface.source[k].coords) for e in conic_monos]
             for k in others]
     kern = ExactMatrix(rows).kernel_basis()
     if len(kern) != 1:
@@ -231,7 +219,7 @@ def _line_b(surface, i):
     roots.append(((-t_beta, t_alpha), 1))
     alphas, betas = [], []
     for cub in surface.basis:
-        sext = binary_from_poly_padded(cub.substitute(x_polys), 6)
+        sext = binary_from_poly(cub.substitute(x_polys), 6)
         lin = deflate_binary_form(sext, roots)
         alphas.append(lin[0])
         betas.append(lin[1])
@@ -260,13 +248,6 @@ def _bilinear_poly(u_polys, s_mat, v_polys):
             if s_mat[r][col]:
                 acc = acc + (u_polys[r] * v_polys[col]).scale(s_mat[r][col])
     return acc
-
-
-def binary_from_poly_padded(p, degree):
-    out = [rat(0)] * (degree + 1)
-    for (i, j), coeff in p.terms.items():
-        out[j] = coeff
-    return out
 
 
 def labeled_lines(surface):

@@ -7,10 +7,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
+from functools import cached_property
 
 from . import incidence as inc
-from .field import QQ, rat, rat_str, is_rational, scalar_from_json
+from .field import QQ, ZeroDivisorError, scalar_from_json, scalar_to_json
 from .multipoly import monomials
+from .binforms import irreducible_over_q
 from .blowup import (SixPoints, build_surface, labeled_lines, incidence_table,
                      sample_surface_points)
 from .fixtures import fixture_points, species_points
@@ -23,123 +26,170 @@ from .determinantal import (det_rep, grassmann_nets, grassmann_param,
 from .quadrics import (quadric_web, steinerian, six_line_quadric_census,
                        intersection_point_grouping, residual_family_rank)
 from .hexagram import hexagram_config, pentahedra, verify_all_pairs
-from .species import (conjugation_action, classify_species, involution_census,
-                      SPECIES_DS_PATTERN)
-
-
-def _sc(x):
-    return rat_str(x) if is_rational(x) else x.to_json()
+from .species import conjugation_action, classify_species, involution_census
 
 
 def _poly_json(p, monos):
-    return {"".join(map(str, e)): _sc(p.coefficient(e)) for e in monos
-            if p.coefficient(e)}
-
-
-def _sorted_trios():
-    return sorted(inc.TRITANGENT_TRIOS,
-                  key=lambda t: sorted(inc.LABEL_INDEX[l] for l in t))
-
-
-def _trio_str(trio):
-    return "{" + ",".join(inc.label_str(l) for l in
-                          sorted(trio, key=lambda l: inc.LABEL_INDEX[l])) + "}"
-
-
-def load_points(path):
-    """Parse {"schema": 1, "field": {"levels": [...]}, "points": [...]}."""
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or "points" not in data:
-        raise SchemaError("input must be an object with a 'points' field")
-    tower = QQ
-    for level in (data.get("field") or {}).get("levels", []):
-        tower = tower.extend([scalar_from_json(tower, c) for c in level])
-    points = [[scalar_from_json(tower, c) for c in p] for p in data["points"]]
-    return SixPoints(points, tower)
+    return {"".join(map(str, e)): scalar_to_json(p.coefficient(e))
+            for e in monos if p.coefficient(e)}
 
 
 class SchemaError(ValueError):
     pass
 
 
-def _surface(args):
-    pts = load_points(args.input) if args.input else fixture_points()
-    return build_surface(pts)
+def _require(ok, message):
+    if not ok:
+        raise SchemaError(message)
+
+
+def _scalars(tower, data, what):
+    _require(isinstance(data, list), f"{what} must be a list")
+    try:
+        return [scalar_from_json(tower, c) for c in data]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"{what}: {exc}") from exc
+
+
+def load_points(path):
+    """Parse {"schema": 1, "field": {"levels": [...]}, "points": [...]}.
+
+    Raises SchemaError unless there are six points of three scalars each and
+    every level is a monic polynomial of degree 2 or 3; a level over Q must
+    also be irreducible.
+    """
+    with open(path) as fh:
+        data = json.load(fh)
+    _require(isinstance(data, dict) and data.get("schema") == 1,
+             'input must be an object with "schema": 1')
+    field = data.get("field") or {}
+    levels = field.get("levels", []) if isinstance(field, dict) else None
+    _require(isinstance(levels, list), '"field" must hold a list of "levels"')
+    points = data.get("points")
+    _require(isinstance(points, list) and len(points) == 6,
+             '"points" must be a list of 6 points')
+    tower = QQ
+    for level in levels:
+        modulus = _scalars(tower, level, "a level")
+        # Over Q, a reducible modulus would make some inverse hit a zero
+        # divisor, or make general points look degenerate.
+        _require(len(modulus) in (3, 4) and modulus[-1] == 1
+                 and (tower.height or irreducible_over_q(modulus)),
+                 f"the level {level} is not a monic polynomial of degree 2 or "
+                 "3, irreducible if over Q")
+        tower = tower.extend(modulus)
+    coords = [_scalars(tower, p, "a point") for p in points]
+    _require(all(len(c) == 3 for c in coords), "a point must have 3 coordinates")
+    return SixPoints(coords, tower)
+
+
+class Session:
+    """The surface chain of one input, each stage computed on first use and
+    kept: surface -> lines -> planes -> first_cs -> rep, first_cs -> hexforms.
+    """
+
+    def __init__(self, points):
+        self.points = points
+
+    @cached_property
+    def surface(self):
+        return build_surface(self.points)
+
+    @cached_property
+    def lines(self):
+        return labeled_lines(self.surface)
+
+    @cached_property
+    def planes(self):
+        return tritangent_planes(self.lines)
+
+    @cached_property
+    def first_cs(self):
+        """The Cayley-Salmon form of the first trihedral pair."""
+        return cayley_salmon(self.surface, self.lines,
+                             inc.enumerate_trieder_pairs()[0], self.planes)
+
+    @cached_property
+    def rep(self):
+        return det_rep(self.first_cs, self.surface)
+
+    @cached_property
+    def hexforms(self):
+        return hexahedral_from_cs(self.first_cs, self.surface)
+
+    @property
+    def hexform(self):
+        return self.hexforms[0]
+
+
+def _session(args):
+    return Session(load_points(args.input) if args.input else fixture_points())
 
 
 def cmd_construct(args):
-    surface = _surface(args)
-    lines = labeled_lines(surface)
-    report = {"surface": _poly_json(surface.F, monomials(4, 3)),
-              "lines": {inc.label_str(lab): lines[lab].to_json()
+    s = _session(args)
+    report = {"surface": _poly_json(s.surface.F, monomials(4, 3)),
+              "lines": {inc.label_str(lab): s.lines[lab].to_json()
                         for lab in inc.ALL_LABELS}}
     text = ["surface cubic coefficients (monomial: value):"]
     text += [f"  {m}: {c}" for m, c in sorted(report["surface"].items())]
     text.append("27 lines:")
     for lab in inc.ALL_LABELS:
-        l = lines[lab]
-        text.append(f"  {inc.label_str(lab)}: span "
-                    f"{[_sc(c) for c in l.p.coords]} "
-                    f"{[_sc(c) for c in l.q.coords]}")
+        l = s.lines[lab]
+        text.append(f"  {inc.label_str(lab)}: span {l.p.to_json()} {l.q.to_json()}")
     return report, text
+
+
+def _counts(s):
+    """The configuration counts of the report, enneahedra aside."""
+    ds = inc.enumerate_double_sixes()
+    split = Counter(inc.double_six_family(d) for d in ds)
+    return {"tritangent_planes": len(s.planes), "double_sixes": len(ds),
+            "double_six_family_split": {str(k): split[k] for k in sorted(split)},
+            "trieder_pairs": len(inc.enumerate_trieder_pairs()),
+            "triads": len(inc.enumerate_triads())}
 
 
 def cmd_configurations(args):
-    surface = _surface(args)
-    lines = labeled_lines(surface)
-    planes = tritangent_planes(lines)
-    ds = inc.enumerate_double_sixes()
-    from collections import Counter
-    split = Counter(inc.double_six_family(d) for d in ds)
-    pairs = inc.enumerate_trieder_pairs()
-    triads = inc.enumerate_triads()
-    enn = inc.enumerate_enneahedra()
-    report = {"tritangent_planes": len(planes), "double_sixes": len(ds),
-              "double_six_family_split": {str(k): split[k] for k in sorted(split)},
-              "trieder_pairs": len(pairs), "triads": len(triads),
-              "enneahedra": len(enn)}
-    text = [f"tritangent planes: {len(planes)}",
-            f"double-sixes: {len(ds)} (families "
-            + "/".join(str(split[k]) for k in sorted(split)) + ")",
-            f"trieder pairs: {len(pairs)}",
-            f"triads: {len(triads)}",
-            f"enneahedra: {len(enn)}"]
+    report = _counts(_session(args))
+    report["enneahedra"] = len(inc.enumerate_enneahedra())
+    text = [f"tritangent planes: {report['tritangent_planes']}",
+            f"double-sixes: {report['double_sixes']} (families "
+            + "/".join(map(str, report["double_six_family_split"].values())) + ")",
+            f"trieder pairs: {report['trieder_pairs']}",
+            f"triads: {report['triads']}",
+            f"enneahedra: {report['enneahedra']}"]
     return report, text
 
 
-def _first_pairs(n):
-    return sorted(inc.enumerate_trieder_pairs())[:n]
+def _cayley_salmon_pairs(s, full):
+    """Solve F = lam*PQR + mu*STU for the first 12 (full: all 120) trihedral
+    pairs; a pair without a decomposition raises.  Returns the pair count."""
+    pairs = inc.enumerate_trieder_pairs()[:120 if full else 12]
+    s.first_cs
+    for pair in pairs[1:]:
+        cayley_salmon(s.surface, s.lines, pair, s.planes)
+    return len(pairs)
 
 
 def cmd_cayley_salmon(args):
-    surface = _surface(args)
-    lines = labeled_lines(surface)
-    planes = tritangent_planes(lines)
-    pairs = _first_pairs(120 if args.full else 12)
-    verified = 0
-    first = None
-    for pair in pairs:
-        cs = cayley_salmon(surface, lines, pair, planes)
-        verified += 1
-        if first is None:
-            first = cs
-    report = {"pairs_checked": len(pairs), "identities_verified": verified,
-              "first_form": {"lambda": _sc(first.lam), "mu": _sc(first.mu),
-                             "planes": [[_sc(c) for c in h.coeffs]
-                                        for h in first.planes]}}
-    text = [f"Cayley-Salmon identities verified: {verified}/{len(pairs)}",
+    s = _session(args)
+    checked = _cayley_salmon_pairs(s, args.full)
+    first = s.first_cs
+    report = {"pairs_checked": checked, "identities_verified": checked,
+              "first_form": {"lambda": scalar_to_json(first.lam),
+                             "mu": scalar_to_json(first.mu),
+                             "planes": [h.to_json() for h in first.planes]}}
+    text = [f"Cayley-Salmon identities verified: {checked}/{checked}",
             f"first pair: lambda = {report['first_form']['lambda']}, "
             f"mu = {report['first_form']['mu']}"]
     return report, text
 
 
 def cmd_hexahedral(args):
-    surface = _surface(args)
-    lines = labeled_lines(surface)
-    planes = tritangent_planes(lines)
+    s = _session(args)
     if args.full:
-        forms, by_ds = all_hexahedral_forms(surface, lines, planes)
+        forms, by_ds = all_hexahedral_forms(s.surface, s.lines, s.planes)
         report = {"forms": len(forms), "double_sixes": len(by_ds),
                   "forms_per_double_six": sorted(len(v) for v in by_ds.values())}
         text = [f"hexahedral forms: {len(forms)}",
@@ -147,17 +197,13 @@ def cmd_hexahedral(args):
                 f"forms per double-six: {report['forms_per_double_six'][0]}"
                 f"..{report['forms_per_double_six'][-1]}"]
         return report, text
-    pair = _first_pairs(1)[0]
-    cs = cayley_salmon(surface, lines, pair, planes)
-    hexforms = hexahedral_from_cs(cs, surface)
-    hexform = hexforms[0]
-    matched, ds = hexahedral_lines(hexform, lines)
-    back = cs_from_hexahedral(hexform, surface)
-    report = {"roots_found": len(hexforms), "c": _sc(hexform.c),
+    matched, ds = hexahedral_lines(s.hexform, s.lines)
+    back = cs_from_hexahedral(s.hexform, s.surface)
+    report = {"roots_found": len(s.hexforms), "c": scalar_to_json(s.hexform.c),
               "lines15": sorted(inc.label_str(l) for l in matched.values()),
               "double_six": sorted(inc.label_str(l) for l in ds),
               "cayley_salmon_splits": len(back)}
-    text = [f"hexahedral roots from first Cayley-Salmon form: {len(hexforms)}",
+    text = [f"hexahedral roots from first Cayley-Salmon form: {len(s.hexforms)}",
             f"sum x_i^3 = c*F with c = {report['c']}",
             "15 lines: " + " ".join(report["lines15"]),
             f"complementary double-six verified; "
@@ -165,40 +211,42 @@ def cmd_hexahedral(args):
     return report, text
 
 
+def _param_on_surface(s):
+    """Whether the Grassmann-net parametrization lands on the surface."""
+    gamma = grassmann_param(grassmann_nets(s.rep))
+    return param_lands_on_surface(s.surface, gamma)
+
+
 def cmd_determinantal(args):
-    surface = _surface(args)
-    lines = labeled_lines(surface)
-    planes = tritangent_planes(lines)
-    cs = cayley_salmon(surface, lines, _first_pairs(1)[0], planes)
-    rep = det_rep(cs, surface)
-    nets = grassmann_nets(rep)
-    gamma = grassmann_param(nets)
-    on_surface = param_lands_on_surface(surface, gamma)
-    report = {"kappa": _sc(rep.kappa), "parametrization_on_surface": on_surface,
+    s = _session(args)
+    on_surface = _param_on_surface(s)
+    report = {"kappa": scalar_to_json(s.rep.kappa),
+              "parametrization_on_surface": on_surface,
               "matrix": [[_poly_json(e, monomials(4, 1)) for e in row]
-                         for row in rep.matrix]}
+                         for row in s.rep.matrix]}
     text = [f"det M = kappa*F with kappa = {report['kappa']}",
             f"Grassmann parametrization lies on the surface: {on_surface}"]
     return report, text
 
 
-def cmd_cubo_cubic(args):
-    surface = _surface(args)
-    lines = labeled_lines(surface)
-    planes = tritangent_planes(lines)
-    cs = cayley_salmon(surface, lines, _first_pairs(1)[0], planes)
-    rep = det_rep(cs, surface)
-    tmap = cubo_cubic(rep)
-    tinv = cubo_cubic_inverse(rep)
-    pts = sample_surface_points(surface, 20, seed=args.seed)
-    off = sample_surface_points(surface, 5, seed=args.seed + 1)
-    report = {
+def _cubo_cubic(s, seed, extra_points=0):
+    """The cubo-cubic map of the determinantal form: its degrees, and whether
+    it preserves the surface, its inverse undoes it at 20 + extra_points
+    sampled surface points, and a plane maps into one cubic surface."""
+    points = (sample_surface_points(s.surface, 20, seed=seed)
+              + sample_surface_points(s.surface, extra_points, seed=seed + 1))
+    tmap, tinv = cubo_cubic(s.rep), cubo_cubic_inverse(s.rep)
+    return {
         "component_degree": max(t.degree() for t in tmap.components),
         "factor_degree": tmap.factor.degree(),
-        "preserves_surface": preserves_surface(tmap, surface),
-        "inverse_composes_to_identity": inverts_on_points(tmap, tinv, pts + off),
-        "plane_image_cubic_kernel": len(plane_image_cubic(tmap, seed=args.seed)),
+        "preserves_surface": preserves_surface(tmap, s.surface),
+        "inverse_composes_to_identity": inverts_on_points(tmap, tinv, points),
+        "plane_image_cubic_kernel": len(plane_image_cubic(tmap, seed=seed)),
     }
+
+
+def cmd_cubo_cubic(args):
+    report = _cubo_cubic(_session(args), args.seed, extra_points=5)
     text = [f"cubic components after removing a degree-"
             f"{report['factor_degree']} common factor",
             f"surface preserved: {report['preserves_surface']}",
@@ -209,40 +257,55 @@ def cmd_cubo_cubic(args):
     return report, text
 
 
-def cmd_desmic(args):
-    surface = _surface(args)
-    lines = labeled_lines(surface)
-    planes = tritangent_planes(lines)
-    trios = _sorted_trios()
-    web_trios = trios if args.census else trios[:3]
+def _webs(s, census):
+    """(trio, web, Steinerian quartic) for the first 3 (census: all 45) trios."""
+    trios = sorted(inc.TRITANGENT_TRIOS,
+                   key=lambda t: sorted(inc.LABEL_INDEX[l] for l in t))
     webs = []
-    for trio in web_trios:
-        web = quadric_web(surface, trio, lines, planes[trio])
-        quartic = steinerian(surface, web, lines)
-        webs.append((trio, web, quartic))
-    trio0, web0, quartic0 = webs[0]
-    census = six_line_quadric_census(surface, lines, planes)
-    from collections import Counter
+    for trio in (trios if census else trios[:3]):
+        web = quadric_web(s.surface, trio, s.lines, s.planes[trio])
+        webs.append((trio, web, steinerian(s.surface, web, s.lines)))
+    return webs
+
+
+def _census(s):
+    """Per-set nonsingular counts, distinct count and multiplicities of the
+    residual quadric census, as reported."""
+    census = six_line_quadric_census(s.surface, s.lines, s.planes)
     per = Counter(len(v["nonsingular"]) for v in census["per_set"].values())
     mult = Counter(census["multiplicities"])
-    points, groups = intersection_point_grouping(lines)
+    return ({str(k): per[k] for k in sorted(per)}, len(census["distinct"]),
+            {str(k): mult[k] for k in sorted(mult)})
+
+
+def _grouping(s):
+    points, groups = intersection_point_grouping(s.lines)
     pcount = Counter(p for g in groups.values() for p in g)
-    rank8 = residual_family_rank(surface, trio0, lines, planes[trio0])
+    return {"points": len(set(points.values())), "groups": len(groups),
+            "per_group": sorted({len(g) for g in groups.values()}),
+            "memberships": sorted(set(pcount.values()))}
+
+
+def cmd_desmic(args):
+    s = _session(args)
+    webs = _webs(s, args.census)
+    trio0, web0, quartic0 = webs[0]
+    per, distinct, mult = _census(s)
+    grouping = _grouping(s)
+    rank8 = residual_family_rank(s.surface, trio0, s.lines, s.planes[trio0])
     report = {
         "webs_checked": len(webs),
         "web_dimension": len(web0.basis),
         "residual_family_rank": rank8,
-        "first_trio": _trio_str(trio0),
+        "first_trio": "{" + ",".join(inc.label_str(l) for l in sorted(
+            trio0, key=lambda l: inc.LABEL_INDEX[l])) + "}",
         "steinerian": _poly_json(quartic0.form, monomials(4, 4)),
-        "nodes": [[_sc(c) for c in n.coords] for n in quartic0.nodes],
+        "nodes": [n.to_json() for n in quartic0.nodes],
         "tetrads": [list(t) for t in web0.tetrads],
-        "census_per_set": {str(k): per[k] for k in sorted(per)},
-        "census_distinct": len(census["distinct"]),
-        "census_multiplicities": {str(k): mult[k] for k in sorted(mult)},
-        "grouping": {"points": len(set(points.values())),
-                     "groups": len(groups),
-                     "per_group": sorted({len(g) for g in groups.values()}),
-                     "memberships": sorted(set(pcount.values()))},
+        "census_per_set": per,
+        "census_distinct": distinct,
+        "census_multiplicities": mult,
+        "grouping": grouping,
     }
     text = [f"webs computed: {len(webs)} (dimension "
             f"{report['web_dimension']}; full residual family rank "
@@ -250,31 +313,30 @@ def cmd_desmic(args):
             f"first trio {report['first_trio']}: Steinerian quartic with "
             f"{len(quartic0.nodes)} nodes, desmic tetrads "
             f"{report['tetrads']}",
-            f"census: {report['census_per_set']} nonsingular per set, "
-            f"{report['census_distinct']} distinct, multiplicities "
-            f"{report['census_multiplicities']}",
-            f"grouping: {report['grouping']['points']} points in "
-            f"{report['grouping']['groups']} groups of "
-            f"{report['grouping']['per_group']}, each point in "
-            f"{report['grouping']['memberships']} groups"]
+            f"census: {per} nonsingular per set, {distinct} distinct, "
+            f"multiplicities {mult}",
+            f"grouping: {grouping['points']} points in "
+            f"{grouping['groups']} groups of "
+            f"{grouping['per_group']}, each point in "
+            f"{grouping['memberships']} groups"]
     return report, text
 
 
+def _hexagram(s, seed):
+    """The hexagram configuration of the first hexahedral form, its
+    pentahedra, and the projection check of all 60 pairs at 3 centers."""
+    config = hexagram_config(s.hexform, s.surface, s.lines)
+    reports = verify_all_pairs(s.surface, config, s.lines,
+                               centers_per_pair=3, seed=seed)
+    return {"cremona_pairs": len(config.cremona_pairs),
+            "shared_line_pairs": len(config.shared_pairs),
+            "pascal_lines": len(set(config.pascal_lines.values())),
+            "pentahedra": len(pentahedra(config)),
+            "projections_verified": len(reports)}
+
+
 def cmd_hexagram(args):
-    surface = _surface(args)
-    lines = labeled_lines(surface)
-    planes = tritangent_planes(lines)
-    cs = cayley_salmon(surface, lines, _first_pairs(1)[0], planes)
-    hexform = hexahedral_from_cs(cs, surface)[0]
-    config = hexagram_config(hexform, surface, lines)
-    penta = pentahedra(config)
-    reports = verify_all_pairs(surface, config, lines,
-                               centers_per_pair=3, seed=args.seed)
-    report = {"cremona_pairs": len(config.cremona_pairs),
-              "shared_line_pairs": len(config.shared_pairs),
-              "pascal_lines": len(set(config.pascal_lines.values())),
-              "pentahedra": len(penta),
-              "projections_verified": len(reports)}
+    report = _hexagram(_session(args), args.seed)
     text = [f"Cremona pairs: {report['cremona_pairs']}; disjoint-index pairs "
             f"sharing a surface line: {report['shared_line_pairs']}",
             f"Pascal lines: {report['pascal_lines']}; pentahedra: "
@@ -284,20 +346,18 @@ def cmd_hexagram(args):
     return report, text
 
 
+def _species(points):
+    s = Session(points)
+    return classify_species(conjugation_action(s.surface, s.lines))
+
+
 def cmd_species(args):
     if args.input:
-        surface = _surface(args)
-        lines = labeled_lines(surface)
-        action = conjugation_action(surface, lines)
-        rep = classify_species(action)
+        rep = _species(load_points(args.input))
         reports = {str(rep.species): list(rep.profile)}
     else:
-        reports = {}
-        for k in (1, 2, 3, 4):
-            surface = build_surface(species_points(k))
-            lines = labeled_lines(surface)
-            rep = classify_species(conjugation_action(surface, lines))
-            reports[str(k)] = list(rep.profile)
+        reports = {str(k): list(_species(species_points(k)).profile)
+                   for k in (1, 2, 3, 4)}
     census = involution_census()
     report = {"classified": reports,
               "census": {str(k): v for k, v in sorted(census.items())}}
@@ -308,159 +368,97 @@ def cmd_species(args):
     return report, text
 
 
+def _group():
+    return {"order": len(inc.group_closure()), "orbits": inc.orbit_sizes()}
+
+
 def cmd_group(args):
-    group = inc.group_closure()
-    orbits = inc.orbit_sizes()
-    report = {"order": len(group), "orbits": orbits}
-    text = [f"group order: {len(group)}",
+    report = _group()
+    text = [f"group order: {report['order']}",
             "orbit sizes: " + ", ".join(f"{k}={v}" for k, v in
-                                        sorted(orbits.items()))]
+                                        sorted(report["orbits"].items()))]
     return report, text
 
 
-def _claims(args):
-    """(claim text, check callable) pairs for verify-all, in fixed order."""
-    surface = _surface(args)
-    lines = labeled_lines(surface)
-    planes = tritangent_planes(lines)
-    state = {}
-
-    def lines_check():
-        table = incidence_table(lines)
-        return (len(set(lines.values())) == 27
-                and all(met == inc.meets_rule(l1, l2)
-                        for (l1, l2), met in table.items()))
-
-    def counts_check():
-        from collections import Counter
-        ds = inc.enumerate_double_sixes()
-        split = Counter(inc.double_six_family(d) for d in ds)
-        return (len(planes) == 45 and len(ds) == 36
-                and split == Counter({3: 20, 2: 15, 1: 1})
-                and len(inc.enumerate_trieder_pairs()) == 120
-                and len(inc.enumerate_triads()) == 40)
-
-    def cs_check():
-        pairs = _first_pairs(120 if args.full else 12)
-        state["cs"] = cayley_salmon(surface, lines, pairs[0], planes)
-        for pair in pairs[1:]:
-            cayley_salmon(surface, lines, pair, planes)
-        return True
+def cmd_verify_all(args):
+    s = _session(args)
+    s.planes  # a surface without 27 lines or 45 planes is a domain error
 
     def hex_check():
-        hexforms = hexahedral_from_cs(state["cs"], surface)
-        state["hex"] = hexforms[0]
-        for hexform in hexforms:
-            hexahedral_lines(hexform, lines)
-        if len(cs_from_hexahedral(hexforms[0], surface)) != 10:
+        for hexform in s.hexforms:
+            hexahedral_lines(hexform, s.lines)
+        if len(cs_from_hexahedral(s.hexform, s.surface)) != 10:
             return False
         if args.full:
-            forms, by_ds = all_hexahedral_forms(surface, lines, planes)
+            forms, by_ds = all_hexahedral_forms(s.surface, s.lines, s.planes)
             return len(forms) == 360 and len(by_ds) == 36
         return True
 
-    def det_check():
-        rep = det_rep(state["cs"], surface)
-        state["rep"] = rep
-        gamma = grassmann_param(grassmann_nets(rep))
-        return param_lands_on_surface(surface, gamma)
-
     def cubo_check():
-        rep = state["rep"]
-        tmap, tinv = cubo_cubic(rep), cubo_cubic_inverse(rep)
-        pts = sample_surface_points(surface, 20, seed=args.seed)
-        return (preserves_surface(tmap, surface)
-                and inverts_on_points(tmap, tinv, pts)
-                and len(plane_image_cubic(tmap, seed=args.seed)) == 1)
-
-    def web_check():
-        trios = _sorted_trios()
-        for trio in (trios if args.census else trios[:3]):
-            web = quadric_web(surface, trio, lines, planes[trio])
-            if len(web.basis) != 4:
-                return False
-            steinerian(surface, web, lines)
-        return True
-
-    def census_check():
-        from collections import Counter
-        census = six_line_quadric_census(surface, lines, planes)
-        per = Counter(len(v["nonsingular"]) for v in census["per_set"].values())
-        return (per == Counter({48: 45}) and len(census["distinct"]) == 360
-                and set(census["multiplicities"]) == {6})
-
-    def grouping_check():
-        from collections import Counter
-        points, groups = intersection_point_grouping(lines)
-        pcount = Counter(p for g in groups.values() for p in g)
-        return (len(set(points.values())) == 135 and len(groups) == 45
-                and all(len(g) == 12 for g in groups.values())
-                and set(pcount.values()) == {4})
+        report = _cubo_cubic(s, args.seed)
+        return (report["preserves_surface"]
+                and report["inverse_composes_to_identity"]
+                and report["plane_image_cubic_kernel"] == 1)
 
     def hexagram_check():
-        config = hexagram_config(state["hex"], surface, lines)
-        pentahedra(config)
-        reports = verify_all_pairs(surface, config, lines,
-                                   centers_per_pair=3, seed=args.seed)
-        return len(config.cremona_pairs) == 60 and len(reports) == 180
-
-    def group_check():
-        group = inc.group_closure()
-        orbits = inc.orbit_sizes()
-        return len(group) == 51840 and orbits == {
-            "lines": 27, "double_sixes": 36, "tritangents": 45, "triads": 40}
+        report = _hexagram(s, args.seed)
+        return (report["cremona_pairs"] == 60
+                and report["projections_verified"] == 180)
 
     def species_check():
-        expect = {1: (27, 45), 2: (15, 15), 3: (7, 5), 4: (3, 7)}
+        # (real lines, real tritangents, double-sixes fixed, swapped)
+        profiles = {1: (27, 45, 36, 0), 2: (15, 15, 15, 1), 3: (7, 5, 6, 2),
+                    4: (3, 7, 1, 3), 5: (3, 13, 0, 12)}
         for k in (1, 2, 3, 4):
-            surf_k = build_surface(species_points(k))
-            rep = classify_species(
-                conjugation_action(surf_k, labeled_lines(surf_k)))
-            if (rep.species != k
-                    or (rep.real_lines, rep.real_tritangents) != expect[k]
-                    or (rep.ds_both_fixed, rep.ds_swapped)
-                    != SPECIES_DS_PATTERN[k]):
+            rep = _species(species_points(k))
+            if (rep.species, rep.profile) != (k, profiles[k]):
                 return False
-        census = involution_census()
-        profiles = set(census)
-        return ({(27, 45, 36, 0), (15, 15, 15, 1), (7, 5, 6, 2), (3, 7, 1, 3),
-                 (3, 13, 0, 12)} <= profiles)
+        return set(profiles.values()) <= set(involution_census())
 
-    return [
-        ("27 distinct lines with the expected incidence table", lines_check),
+    claims = [
+        ("27 distinct lines with the expected incidence table",
+         lambda: len(set(s.lines.values())) == 27 and all(
+             met == inc.meets_rule(l1, l2)
+             for (l1, l2), met in incidence_table(s.lines).items())),
         ("45 tritangent planes, 36 double-sixes split 1/15/20, "
-         "120 trieder pairs, 40 triads", counts_check),
-        ("Cayley-Salmon identity F = lambda*PQR + mu*STU", cs_check),
+         "120 trieder pairs, 40 triads",
+         lambda: _counts(s) == {
+             "tritangent_planes": 45, "double_sixes": 36,
+             "double_six_family_split": {"1": 1, "2": 15, "3": 20},
+             "trieder_pairs": 120, "triads": 40}),
+        ("Cayley-Salmon identity F = lambda*PQR + mu*STU",
+         lambda: _cayley_salmon_pairs(s, args.full) > 0),
         ("hexahedral form: sum x_i = 0, sum x_i^3 = c*F, 15 lines, "
          "complementary double-six, 10 Cayley-Salmon splits", hex_check),
         ("determinantal form det M = kappa*F with parametrization on the "
-         "surface", det_check),
+         "surface", lambda: _param_on_surface(s)),
         ("cubo-cubic transformation preserves the surface and inverts "
          "exactly", cubo_check),
         ("4-dimensional quadric web with a 12-nodal Steinerian quartic and "
-         "a unique desmic partition", web_check),
+         "a unique desmic partition",
+         lambda: all(len(web.basis) == 4
+                     for _, web, _ in _webs(s, args.census))),
         ("45 sets of 48 nonsingular quadrics, 360 distinct, each in 6 sets",
-         census_check),
+         lambda: _census(s) == ({"48": 45}, 360, {"6": 360})),
         ("135 intersection points in 45 groups of 12, each point in 4 "
-         "groups", grouping_check),
+         "groups", lambda: _grouping(s) == {"points": 135, "groups": 45,
+                                            "per_group": [12],
+                                            "memberships": [4]}),
         ("60 Cremona pairs with 3 collinear diagonal points on the "
          "projected Pascal line", hexagram_check),
-        ("group of order 51840 with orbits 27, 36, 45, 40", group_check),
+        ("group of order 51840 with orbits 27, 36, 45, 40",
+         lambda: _group() == {"order": 51840, "orbits": {
+             "lines": 27, "double_sixes": 36, "tritangents": 45,
+             "triads": 40}}),
         ("species 1-4 fixtures classified; census holds all five reality "
          "profiles", species_check),
     ]
-
-
-def cmd_verify_all(args):
     results = []
-    for claim, check in _claims(args):
+    for claim, check in claims:
         try:
-            ok = bool(check())
-            detail = ""
+            results.append((claim, bool(check()), ""))
         except ValueError as exc:
-            ok = False
-            detail = f" ({type(exc).__name__}: {exc})"
-        results.append((claim, ok, detail))
+            results.append((claim, False, f" ({type(exc).__name__}: {exc})"))
     report = {"results": [{"claim": c, "pass": ok} for c, ok, _ in results],
               "all_pass": all(ok for _, ok, _ in results)}
     text = [("PASS: " if ok else "FAIL: ") + claim + detail
@@ -497,8 +495,6 @@ def build_parser():
     parser.add_argument("--full", action="store_true",
                         help="run exhaustive variants (all 120 pairs, "
                              "all 360 forms)")
-    parser.add_argument("--split", action="store_true",
-                        help="include family split details where applicable")
     parser.add_argument("--census", action="store_true",
                         help="run the quadric web check over all 45 planes")
     return parser
@@ -509,7 +505,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         report, text = COMMANDS[args.command](args)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, SchemaError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, SchemaError,
+            ZeroDivisorError) as exc:
+        # ZeroDivisorError: a level above Q with a reducible modulus, which
+        # load_points cannot rule out.
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

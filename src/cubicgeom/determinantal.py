@@ -8,8 +8,9 @@ import random
 from dataclasses import dataclass
 
 from .field import rat
-from .linalg import ExactMatrix
-from .multipoly import MultiPoly, monomials, common_cubic_factor, common_factor
+from .linalg import ExactMatrix, cross3
+from .multipoly import (MultiPoly, monomials, eval_monomial, common_cubic_factor,
+                        common_factor)
 from .projgeom import ProjPoint
 
 
@@ -28,10 +29,6 @@ class DeterminantalRep:
     matrix: list          # 3x3 of linear MultiPoly(4)
     kappa: object
     cs: object            # the underlying trihedral decomposition
-
-    def at_point(self, point):
-        return ExactMatrix([[entry.evaluate(point.coords) for entry in row]
-                            for row in self.matrix])
 
     def det_poly(self):
         m = self.matrix
@@ -77,8 +74,7 @@ class GrassmannNets:
 
 
 def grassmann_nets(rep):
-    tensor = [[[entry.coefficient(_unit4(i)) for i in range(4)]
-               for entry in row] for row in rep.matrix]
+    tensor = [[entry.linear_coeffs() for entry in row] for row in rep.matrix]
     a = [[MultiPoly.linear_form([tensor[j][k][i] for k in range(3)])
           for i in range(4)] for j in range(3)]
     nets = GrassmannNets(a, tensor, rep)
@@ -99,12 +95,6 @@ def bilinear_identity_holds(nets):
         if lhs != rhs:
             return False
     return True
-
-
-def _unit4(i):
-    e = [0] * 4
-    e[i] = 1
-    return tuple(e)
 
 
 def _embed(p, nvars, offset):
@@ -171,33 +161,20 @@ class CuboCubicMap:
         return ProjPoint(vals)
 
 
-def _row_vertices(matrix):
-    """lam^(i) = m_j x m_k, the pairwise intersections of the lines m_i(x).lam = 0."""
-    rows = [[matrix[j][k] for k in range(3)] for j in range(3)]
-    out = []
-    for i in range(3):
-        mj, mk = rows[(i + 1) % 3], rows[(i + 2) % 3]
-        out.append([mj[1] * mk[2] - mj[2] * mk[1],
-                    mj[2] * mk[0] - mj[0] * mk[2],
-                    mj[0] * mk[1] - mj[1] * mk[0]])
-    return out
+def _vertices(rows):
+    """lam^(i) = m_(i+1) x m_(i+2), the pairwise meets of the lines m_k(x).lam = 0."""
+    return [cross3(rows[(i + 1) % 3], rows[(i + 2) % 3]) for i in range(3)]
 
 
-def _col_vertices(matrix):
-    cols = [[matrix[j][k] for j in range(3)] for k in range(3)]
-    out = []
-    for i in range(3):
-        mj, mk = cols[(i + 1) % 3], cols[(i + 2) % 3]
-        out.append([mj[1] * mk[2] - mj[2] * mk[1],
-                    mj[2] * mk[0] - mj[0] * mk[2],
-                    mj[0] * mk[1] - mj[1] * mk[0]])
-    return out
-
-
-def _minor_map(stacked):
-    """(common factor, components) of the signed maximal minors of a 3x4 stack."""
-    sextics = _signed_maximal_minors(stacked, 4)
-    return common_cubic_factor(sextics)
+def _stacked_minors(matrix, vertices, shift):
+    """Signed maximal minors of the 3x4 stack of plane covectors
+    c_i(x)_l = sum_k vertices[i + shift]_k * (coefficient of t_l in matrix[i][k])."""
+    coeffs = [[entry.linear_coeffs() for entry in row] for row in matrix]
+    stacked = [[
+        sum((vertices[(i + shift) % 3][k].scale(coeffs[i][k][l]) for k in range(3)),
+            MultiPoly(4))
+        for l in range(4)] for i in range(3)]
+    return _signed_maximal_minors(stacked, 4)
 
 
 def cubo_cubic(rep):
@@ -214,14 +191,8 @@ def cubo_cubic(rep):
     the map exchanges the right kernel of M at the source with the left
     kernel at the image, and the companion map cubo_cubic_inverse undoes it.
     """
-    vertices = _row_vertices(rep.matrix)
-    tensor = [[[entry.coefficient(_unit4(i)) for i in range(4)]
-               for entry in row] for row in rep.matrix]
-    stacked = [[
-        sum((vertices[(i + 1) % 3][k].scale(tensor[k][i][l]) for k in range(3)),
-            MultiPoly(4))
-        for l in range(4)] for i in range(3)]
-    g, components = _minor_map(stacked)
+    g, components = common_cubic_factor(
+        _stacked_minors(list(zip(*rep.matrix)), _vertices(rep.matrix), 1))
     if g.degree() != 3:
         raise UnexpectedFactorDegreeError(
             f"common factor of the minors has degree {g.degree()}, expected 3")
@@ -232,14 +203,8 @@ def cubo_cubic(rep):
 
 def cubo_cubic_inverse(rep):
     """The inverse transformation: column vertices paired with the direct nets."""
-    vertices = _col_vertices(rep.matrix)
-    tensor = [[[entry.coefficient(_unit4(i)) for i in range(4)]
-               for entry in row] for row in rep.matrix]
-    stacked = [[
-        sum((vertices[(i + 1) % 3][k].scale(tensor[i][k][l]) for k in range(3)),
-            MultiPoly(4))
-        for l in range(4)] for i in range(3)]
-    g, components = _minor_map(stacked)
+    g, components = common_cubic_factor(
+        _stacked_minors(rep.matrix, _vertices(list(zip(*rep.matrix))), 1))
     if g.degree() != 3:
         raise UnexpectedFactorDegreeError(
             f"common factor of the inverse minors has degree {g.degree()}")
@@ -256,14 +221,7 @@ def triangle_minors(rep):
     assignment; see cubo_cubic for the assignment that does.  Returns
     (sextics, common factor degree).
     """
-    vertices = _row_vertices(rep.matrix)
-    tensor = [[[entry.coefficient(_unit4(i)) for i in range(4)]
-               for entry in row] for row in rep.matrix]
-    stacked = [[
-        sum((vertices[i][k].scale(tensor[i][k][l]) for k in range(3)),
-            MultiPoly(4))
-        for l in range(4)] for i in range(3)]
-    sextics = _signed_maximal_minors(stacked, 4)
+    sextics = _stacked_minors(rep.matrix, _vertices(rep.matrix), 0)
     return sextics, common_factor(sextics).degree()
 
 
@@ -317,13 +275,5 @@ def plane_image_cubic(tmap, seed=0):
             continue
         images.append(img)
     cubics = monomials(4, 3)
-    rows = [[_eval_mono(e, img.coords) for e in cubics] for img in images]
+    rows = [[eval_monomial(e, img.coords) for e in cubics] for img in images]
     return ExactMatrix(rows).kernel_basis()
-
-
-def _eval_mono(expo, coords):
-    acc = rat(1)
-    for x, k in zip(coords, expo):
-        for _ in range(k):
-            acc = acc * x
-    return acc

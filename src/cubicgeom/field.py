@@ -31,6 +31,13 @@ def is_rational(x):
     return not isinstance(x, FieldElement)
 
 
+def inverse(x):
+    """The multiplicative inverse of a rational or of a tower element."""
+    if isinstance(x, FieldElement):
+        return x.inverse()
+    return 1 / x
+
+
 def rat_str(x):
     """Serialize a rational as "p/q" (always with explicit denominator)."""
     return f"{x.numerator}/{x.denominator}"
@@ -95,14 +102,6 @@ class FieldTower:
         if not self.levels:
             return "QQ"
         return "QQ(" + ", ".join(self.names) + ")"
-
-    def to_json(self):
-        def enc(x):
-            if isinstance(x, FieldElement):
-                return [enc(c) for c in x.coeffs]
-            return rat_str(x)
-
-        return {"levels": [[enc(c) for c in p] for p in self.levels]}
 
 
 QQ = FieldTower()
@@ -221,7 +220,7 @@ class FieldElement:
         if len(_poly_trim(g)) != 1:
             raise ZeroDivisorError(
                 f"non-invertible element in {self.tower!r}: modulus is reducible")
-        inv_lead = _scalar_inv(g[0])
+        inv_lead = inverse(g[0])
         return FieldElement(self.tower, [c * inv_lead for c in s])
 
     def __truediv__(self, other):
@@ -274,10 +273,17 @@ def _as_scalar(x):
     return x if isinstance(x, FieldElement) else _mpq(x)
 
 
+def scalar_to_json(x):
+    """A rational as "p/q", a tower element as nested coefficient lists."""
+    return rat_str(x) if is_rational(x) else x.to_json()
+
+
 def scalar_from_json(tower, data):
-    """Inverse of FieldElement.to_json / rat_str for a given tower."""
+    """Inverse of scalar_to_json for a given tower; ValueError if malformed."""
     if isinstance(data, str):
         return rat(data) if tower.is_rational_field() else tower.embed(rat(data))
+    if tower.is_rational_field() or not isinstance(data, list):
+        raise ValueError(f"not a scalar over {tower!r}: {data!r}")
     return FieldElement(tower, [scalar_from_json(tower.lower(), c) for c in data])
 
 
@@ -300,18 +306,12 @@ def _poly_mul(a, b):
     return out
 
 
-def _scalar_inv(x):
-    if isinstance(x, FieldElement):
-        return x.inverse()
-    return 1 / x
-
-
 def _poly_divmod(a, b, lower):
     a = list(a)
     b = _poly_trim(list(b))
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = _scalar_inv(b[-1])
+    inv_lead = inverse(b[-1])
     q = [lower.zero()] * max(0, len(a) - len(b) + 1)
     while len(_poly_trim(a)) >= len(b):
         shift = len(a) - len(b)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .field import QQ, rat
-from .blowup import SixPoints, build_surface
+from .blowup import SixPoints
 
 FIXTURE_COORDS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (1, 5, 8)]
 
@@ -11,10 +11,6 @@ FIXTURE_COORDS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (1, 5, 
 def fixture_points():
     """Six rational points in general position (the standard test surface)."""
     return SixPoints([[rat(x) for x in p] for p in FIXTURE_COORDS])
-
-
-def fixture_surface():
-    return build_surface(fixture_points())
 
 
 def gauss_tower():
@@ -53,7 +49,3 @@ def species_points(k):
     else:
         raise ValueError("species fixtures exist for k in 1..4")
     return SixPoints(pts, tower)
-
-
-def species_surface(k):
-    return build_surface(species_points(k))

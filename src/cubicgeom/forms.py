@@ -8,8 +8,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .field import rat, is_rational
-from .linalg import ExactMatrix, cross3
+from .field import rat, inverse
+from .linalg import ExactMatrix
 from .multipoly import MultiPoly, monomials
 from .binforms import solve_cubic
 from .projgeom import ProjPlane, span_plane, meet_planes
@@ -31,10 +31,6 @@ class DependentPlanesError(ValueError):
 CUBIC_MONOMIALS_P3 = monomials(4, 3)
 
 
-def _scalar_inv(x):
-    return 1 / x if is_rational(x) else x.inverse()
-
-
 def tritangent_plane(trio, lines):
     """The common plane of a coplanar trio of lines."""
     trio = sorted(trio, key=lambda lab: inc.LABEL_INDEX[lab])
@@ -51,23 +47,6 @@ def tritangent_plane(trio, lines):
 def tritangent_planes(lines):
     """All 45 tritangent planes keyed by their line trios."""
     return {trio: tritangent_plane(trio, lines) for trio in inc.TRITANGENT_TRIOS}
-
-
-def plane_section_is_line_product(surface, plane, trio_lines):
-    """Whether F restricted to the plane factors as the three line equations."""
-    basis = ExactMatrix([list(plane.coeffs)]).kernel_basis()
-    cols = ExactMatrix(basis).transpose()
-    params = [MultiPoly.linear_form([basis[m][k] for m in range(3)])
-              for k in range(4)]
-    section = surface.F.substitute(params)
-    product = MultiPoly.constant(3, rat(1))
-    for line in trio_lines:
-        up = cols.solve(list(line.p.coords))
-        uq = cols.solve(list(line.q.coords))
-        product = product * MultiPoly.linear_form(cross3(up, uq))
-    rows = [section.coeff_vector(monomials(3, 3)),
-            product.coeff_vector(monomials(3, 3))]
-    return ExactMatrix(rows).rank() == 1
 
 
 @dataclass
@@ -129,26 +108,23 @@ class HexahedralForm:
         if self.relation is None:
             self.relation = _second_relation(self.x)
 
+    def plane(self, i, j):
+        """The plane x_i + x_j = 0."""
+        return ProjPlane((self.x[i] + self.x[j]).linear_coeffs())
+
 
 def _second_relation(x_forms):
     """Canonical relation (a_i) with sum(a_i x_i) = 0, independent of (1,...,1)."""
-    cols = ExactMatrix([[f.coefficient(_unit(k)) for f in x_forms]
-                        for k in range(4)])
+    cols = ExactMatrix(list(zip(*(f.linear_coeffs() for f in x_forms))))
     kern = cols.kernel_basis()
     if len(kern) != 2:
         raise DependentPlanesError(f"relation space has dimension {len(kern)}")
     for v in kern:
         if not _proportional_to_ones(v):
             lead = next(c for c in v if c)
-            inv = _scalar_inv(lead)
+            inv = inverse(lead)
             return [c * inv for c in v]
     raise DependentPlanesError("no relation independent of the sum relation")
-
-
-def _unit(k):
-    e = [0, 0, 0, 0]
-    e[k] = 1
-    return tuple(e)
 
 
 def _proportional_to_ones(v):
@@ -171,8 +147,8 @@ def hexahedral_from_cs(cs, surface):
     first, second, s_idx = _independent_ordering(trio1, trio2)
     base = first + [second[s_idx]]
     rest = [second[k] for k in range(3) if k != s_idx]
-    cols = ExactMatrix([[f.coefficient(_unit(k)) for f in base] for k in range(4)])
-    abcd = [cols.solve([f.coefficient(_unit(k)) for k in range(4)]) for f in rest]
+    cols = ExactMatrix(list(zip(*(f.linear_coeffs() for f in base))))
+    abcd = [cols.solve(f.linear_coeffs()) for f in rest]
     (ca, cb, cc, cd), (da, db, dc, dd) = abcd
 
     results = []
@@ -213,8 +189,7 @@ def _independent_ordering(trio1, trio2):
     """Pick (P,Q,R) from one trihedron and S from the other, linearly independent."""
     for first, second in ((trio1, trio2), (trio2, trio1)):
         for s_idx in range(3):
-            vecs = [[f.coefficient(_unit(k)) for k in range(4)]
-                    for f in first + [second[s_idx]]]
+            vecs = [f.linear_coeffs() for f in first + [second[s_idx]]]
             if ExactMatrix(vecs).rank() == 4:
                 return first, second, s_idx
     raise DependentPlanesError("no independent four among the six planes")
@@ -226,7 +201,7 @@ def _ratio(num, den):
     top = num.coefficient(lead_m)
     if not top:
         return None
-    c = top * _scalar_inv(lead_c)
+    c = top * inverse(lead_c)
     return c if den.scale(c) == num else None
 
 
@@ -241,11 +216,7 @@ def hexahedral_lines(hexform, lines):
     for part in inc.partitions_into_pairs(range(6)):
         part = sorted(tuple(sorted(p)) for p in part)
         (i, j), (k, l), _ = part
-        h1 = ProjPlane([(hexform.x[i] + hexform.x[j]).coefficient(_unit(m))
-                        for m in range(4)])
-        h2 = ProjPlane([(hexform.x[k] + hexform.x[l]).coefficient(_unit(m))
-                        for m in range(4)])
-        axis = meet_planes(h1, h2)
+        axis = meet_planes(hexform.plane(i, j), hexform.plane(k, l))
         label = next((lab for lab in inc.ALL_LABELS if axis == lines[lab]), None)
         if label is None:
             raise NoDecompositionError(

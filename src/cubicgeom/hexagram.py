@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 from .field import rat
 from .linalg import ExactMatrix
-from .multipoly import MultiPoly
 from .projgeom import (ProjPoint, ProjPlane, ProjLine, meet_planes, meet_lines,
                        plane_through_line)
 from .blowup import lines_meet
@@ -23,17 +22,6 @@ class NotAHexagon(ValueError):
 
 class DegenerateCenter(ValueError):
     pass
-
-
-def _unit(k):
-    e = [0] * 4
-    e[k] = 1
-    return tuple(e)
-
-
-def _plane_of_sum(hexform, i, j):
-    form = hexform.x[i] + hexform.x[j]
-    return ProjPlane([form.coefficient(_unit(m)) for m in range(4)])
 
 
 @dataclass
@@ -64,7 +52,7 @@ def hexagram_config(hexform, surface, lines):
     """
     from .forms import hexahedral_lines
     matched, _ = hexahedral_lines(hexform, lines)
-    planes = {frozenset(p): _plane_of_sum(hexform, *sorted(p))
+    planes = {frozenset(p): hexform.plane(*sorted(p))
               for p in itertools.combinations(range(6), 2)}
     lines15 = {part: lines[lab] for part, lab in matched.items()}
     for part, line in lines15.items():
@@ -81,7 +69,7 @@ def hexagram_config(hexform, surface, lines):
     for k1, k2 in itertools.combinations(sorted(planes, key=sorted), 2):
         axis = meet_planes(planes[k1], planes[k2])
         if k1 & k2:
-            if _line_on_surface(surface, axis):
+            if surface.contains_line(axis):
                 raise ValueError("Cremona axis unexpectedly lies on the surface")
             cremona.append((k1, k2))
             pascal[(k1, k2)] = axis
@@ -95,13 +83,6 @@ def hexagram_config(hexform, surface, lines):
         raise ValueError("unexpected pair counts")
     return HexagramConfig(hexform, planes, matched, lines15, cremona, pascal,
                           shared)
-
-
-def _line_on_surface(surface, line):
-    s, t = MultiPoly.variable(0, 2), MultiPoly.variable(1, 2)
-    param = [s.scale(a) + t.scale(b)
-             for a, b in zip(line.p.coords, line.q.coords)]
-    return surface.F.substitute(param).is_zero()
 
 
 def pentahedra(config):

@@ -199,11 +199,6 @@ def pair_lines(pair):
     return frozenset().union(*side)
 
 
-def trieder_pair_shape(pair):
-    """Label-type census of the 9 lines: 'aaabbbccc', 'ccccccccc' or 'aabbccccc'."""
-    return "".join(sorted(l[0] for l in pair_lines(pair)))
-
-
 def trieder_pair_matrix(pair):
     """A concrete 3x3 matrix of labels (rows x cols), deterministic."""
     rows, cols = sorted(pair, key=lambda side: sorted(map(_trio_key, side)))
@@ -257,39 +252,6 @@ def enumerate_enneahedra():
 
     search(frozenset(ALL_LABELS), [])
     return solutions
-
-
-def classify_enneahedron(enn, trieder_sides, triads):
-    """('first', triad) if the 9 trios split into three triad sides, else ('second', division).
-
-    trieder_sides maps a frozenset of 3 trios to the trihedral pairs having it
-    as one side; triads is the list from enumerate_triads().
-    """
-    trios = sorted(enn, key=_trio_key)
-    sides_inside = [frozenset(s) for s in itertools.combinations(trios, 3)
-                    if frozenset(s) in trieder_sides]
-    # try to partition the 9 trios into three recognized sides
-    for s1, s2, s3 in itertools.combinations(sides_inside, 3):
-        if s1 | s2 | s3 == enn and not (s1 & s2 or s1 & s3 or s2 & s3):
-            for triad in triads:
-                pair_keys = set(triad)
-                picked = []
-                for side in (s1, s2, s3):
-                    match = [p for p in trieder_sides[side] if p in pair_keys]
-                    if match:
-                        picked.append(match[0])
-                if len(picked) == 3 and len(set(picked)) == 3:
-                    return "first", triad
-            return "second", (s1, s2, s3)
-    return "second", None
-
-
-def trieder_side_table(pairs):
-    table = {}
-    for p in pairs:
-        for side in p:
-            table.setdefault(frozenset(side), []).append(p)
-    return table
 
 
 # -- automorphism group ----------------------------------------------------

@@ -6,11 +6,7 @@ reduced forms are bit-reproducible.
 
 from __future__ import annotations
 
-from .field import rat, is_rational
-
-
-def _inv(x):
-    return 1 / x if is_rational(x) else x.inverse()
+from .field import rat, inverse
 
 
 class ExactMatrix:
@@ -28,9 +24,6 @@ class ExactMatrix:
     def identity(cls, n):
         return cls([[rat(1) if i == j else rat(0) for j in range(n)] for i in range(n)])
 
-    def copy(self):
-        return ExactMatrix(self.rows)
-
     def transpose(self):
         return ExactMatrix(list(map(list, zip(*self.rows)))) if self.rows else ExactMatrix([])
 
@@ -47,7 +40,7 @@ class ExactMatrix:
             if pivot_row is None:
                 continue
             rows[row], rows[pivot_row] = rows[pivot_row], rows[row]
-            inv = _inv(rows[row][col])
+            inv = inverse(rows[row][col])
             rows[row] = [x * inv for x in rows[row]]
             for r in range(self.nrows):
                 if r != row and rows[r][col]:
@@ -91,7 +84,7 @@ class ExactMatrix:
                 rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
                 det = -det
             det = det * rows[col][col]
-            inv = _inv(rows[col][col])
+            inv = inverse(rows[col][col])
             for r in range(col + 1, n):
                 if rows[r][col]:
                     factor = rows[r][col] * inv
@@ -111,17 +104,6 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"ExactMatrix({self.nrows}x{self.ncols})"
-
-
-def kernel_basis(matrix):
-    """Null-space basis of a matrix given as ExactMatrix or rows."""
-    if not isinstance(matrix, ExactMatrix):
-        matrix = ExactMatrix(matrix)
-    return matrix.kernel_basis()
-
-
-def matrix_rank(rows):
-    return ExactMatrix(rows).rank()
 
 
 def det3(rows):

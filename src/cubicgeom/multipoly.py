@@ -9,11 +9,16 @@ from __future__ import annotations
 
 import itertools
 
-from .field import QQ, rat, rat_str, is_rational, scalar_from_json
+from .field import rat, is_rational, inverse
 
 
 def grlex_key(expo):
     return (sum(expo), expo)
+
+
+def _unit(i, nvars):
+    """The exponent tuple of the variable x_i."""
+    return tuple(1 if j == i else 0 for j in range(nvars))
 
 
 class MultiPoly:
@@ -38,23 +43,17 @@ class MultiPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars):
-        return cls(nvars)
-
-    @classmethod
     def constant(cls, nvars, c):
         return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def variable(cls, i, nvars):
-        expo = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {expo: rat(1)})
+        return cls(nvars, {_unit(i, nvars): rat(1)})
 
     @classmethod
     def linear_form(cls, coeffs):
         n = len(coeffs)
-        return cls(n, {tuple(1 if j == i else 0 for j in range(n)): c
-                       for i, c in enumerate(coeffs) if c})
+        return cls(n, {_unit(i, n): c for i, c in enumerate(coeffs) if c})
 
     # -- predicates --------------------------------------------------------
 
@@ -151,10 +150,14 @@ class MultiPoly:
         if not self.terms:
             return self
         _, c = self.leading()
-        return self.scale(1 / c if is_rational(c) else c.inverse())
+        return self.scale(inverse(c))
 
     def coefficient(self, expo):
         return self.terms.get(tuple(expo), rat(0))
+
+    def linear_coeffs(self):
+        """The coefficients of x_0, ..., x_{n-1}; inverse of linear_form."""
+        return [self.coefficient(_unit(i, self.nvars)) for i in range(self.nvars)]
 
     def evaluate(self, point):
         acc = rat(0)
@@ -199,7 +202,7 @@ class MultiPoly:
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         lead_e, lead_c = divisor.leading()
-        lead_inv = 1 / lead_c if is_rational(lead_c) else lead_c.inverse()
+        lead_inv = inverse(lead_c)
         rem = self
         quot = MultiPoly(self.nvars)
         while rem.terms:
@@ -211,16 +214,6 @@ class MultiPoly:
             quot = quot + t
             rem = rem - t * divisor
         return quot
-
-    def divides(self, other):
-        try:
-            other.divide_exact(self)
-            return True
-        except ValueError:
-            return False
-
-    def map_coeffs(self, fn):
-        return MultiPoly(self.nvars, {e: fn(c) for e, c in self.terms.items()})
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda ec: grlex_key(ec[0]), reverse=True)
@@ -237,25 +230,21 @@ class MultiPoly:
             parts.append(f"{cs}*{mono}" if mono else cs)
         return " + ".join(parts)
 
-    def to_json(self):
-        return {",".join(map(str, e)): (rat_str(c) if is_rational(c) else c.to_json())
-                for e, c in self.sorted_terms()}
-
-    @classmethod
-    def from_json(cls, nvars, data, tower=QQ):
-        terms = {}
-        for key, val in data.items():
-            expo = tuple(int(s) for s in key.split(","))
-            terms[expo] = scalar_from_json(tower, val)
-        return cls(nvars, terms)
-
-
 def monomials(nvars, degree):
     """All exponent tuples of the given total degree, grlex-descending."""
     out = [e for e in itertools.product(range(degree + 1), repeat=nvars)
            if sum(e) == degree]
     out.sort(key=grlex_key, reverse=True)
     return out
+
+
+def eval_monomial(expo, coords):
+    """The value of the monomial with exponents expo at coords."""
+    acc = rat(1)
+    for x, k in zip(coords, expo):
+        for _ in range(k):
+            acc = acc * x
+    return acc
 
 
 def poly_content_free(p):
@@ -275,87 +264,6 @@ def poly_content_free(p):
     return p.scale(rat(sign * den, g))
 
 
-def _to_recursive(p, var):
-    """View p as a univariate poly in `var` with MultiPoly coefficients."""
-    coeffs = {}
-    for e, c in p.terms.items():
-        k = e[var]
-        rest = list(e)
-        rest[var] = 0
-        coeffs.setdefault(k, {})[tuple(rest)] = c
-    deg = max(coeffs, default=-1)
-    return [MultiPoly(p.nvars, coeffs.get(i, {})) for i in range(deg + 1)]
-
-
-def _from_recursive(coeffs, var, nvars):
-    out = MultiPoly(nvars)
-    for i, c in enumerate(coeffs):
-        if c.is_zero():
-            continue
-        shift = MultiPoly(nvars, {tuple(i if j == var else 0 for j in range(nvars)): rat(1)})
-        out = out + c * shift
-    return out
-
-
-def _poly_gcd_many(polys):
-    g = polys[0]
-    for p in polys[1:]:
-        g = poly_gcd(g, p)
-        if g.degree() == 0:
-            break
-    return poly_content_free(g)
-
-
-def poly_gcd(a, b):
-    """GCD over Q via primitive pseudo-remainder sequences; result is primitive."""
-    if a.is_zero():
-        return poly_content_free(b)
-    if b.is_zero():
-        return poly_content_free(a)
-    var = next((i for i in range(a.nvars)
-                if any(e[i] for e in a.terms) or any(e[i] for e in b.terms)), None)
-    if var is None:
-        return MultiPoly.constant(a.nvars, rat(1))
-    ra, rb = _to_recursive(a, var), _to_recursive(b, var)
-    if len(ra) < len(rb):
-        ra, rb = rb, ra
-    ca, cb = _poly_gcd_many(ra), _poly_gcd_many(rb)
-    pa = [c.divide_exact(ca) for c in ra]
-    pb = [c.divide_exact(cb) for c in rb]
-    cont_gcd = poly_gcd(ca, cb)
-    while len(pb) > 1:
-        r = _pseudo_rem(pa, pb, var)
-        if not r:
-            return poly_content_free(_primitive(pb, var, a.nvars) * cont_gcd)
-        pa, pb = pb, _to_recursive(_primitive(r, var, a.nvars), var)
-    # the sequence dropped to degree 0 in var: the pp-gcd is trivial
-    return cont_gcd
-
-
-def _primitive(coeffs, var, nvars):
-    """Primitive part of a recursive poly (content in the remaining vars removed)."""
-    cont = _poly_gcd_many([c for c in coeffs if not c.is_zero()])
-    out = [c if c.is_zero() else c.divide_exact(cont) for c in coeffs]
-    return poly_content_free(_from_recursive(out, var, nvars))
-
-
-def _pseudo_rem(pa, pb, var):
-    """Pseudo-remainder of two recursive polys in var (lists of MultiPoly)."""
-    pa = list(pa)
-    lead_b = pb[-1]
-    while len(pa) >= len(pb):
-        shift = len(pa) - len(pb)
-        lead_a = pa[-1]
-        pa = [c * lead_b for c in pa]
-        for i, c in enumerate(pb):
-            pa[shift + i] = pa[shift + i] - c * lead_a
-        while pa and pa[-1].is_zero():
-            pa.pop()
-        if not pa:
-            break
-    return pa
-
-
 def homogeneous_gcd(a, b):
     """GCD of two homogeneous forms via their minimal-degree syzygy.
 
@@ -370,7 +278,7 @@ def homogeneous_gcd(a, b):
     if b.is_zero():
         return poly_content_free(a)
     if not (a.is_homogeneous() and b.is_homogeneous()):
-        return poly_gcd(a, b)
+        raise ValueError("homogeneous_gcd needs homogeneous forms")
     da, db = a.degree(), b.degree()
     for g in range(min(da, db), 0, -1):
         mons_v = monomials(a.nvars, db - g)

@@ -7,7 +7,7 @@ the order (01, 02, 03, 12, 13, 23), canonicalized the same way.
 
 from __future__ import annotations
 
-from .field import rat, rat_str, is_rational
+from .field import rat, inverse, scalar_to_json
 from .linalg import ExactMatrix
 
 
@@ -28,7 +28,7 @@ def canonicalize(coords):
     lead = next((c for c in coords if c), None)
     if lead is None:
         raise ValueError("zero coordinate vector")
-    inv = 1 / lead if is_rational(lead) else lead.inverse()
+    inv = inverse(lead)
     return tuple(c * inv for c in coords)
 
 
@@ -54,7 +54,7 @@ class ProjPoint:
         return ProjPoint([fn(c) for c in self.coords])
 
     def to_json(self):
-        return [rat_str(c) if is_rational(c) else c.to_json() for c in self.coords]
+        return [scalar_to_json(c) for c in self.coords]
 
 
 class ProjPlane:
@@ -87,7 +87,7 @@ class ProjPlane:
         return ProjPlane([fn(c) for c in self.coeffs])
 
     def to_json(self):
-        return [rat_str(c) if is_rational(c) else c.to_json() for c in self.coeffs]
+        return [scalar_to_json(c) for c in self.coeffs]
 
 
 class ProjLine:
@@ -126,8 +126,7 @@ class ProjLine:
 
     def to_json(self):
         return {"span": [self.p.to_json(), self.q.to_json()],
-                "plucker": [rat_str(c) if is_rational(c) else c.to_json()
-                            for c in self.plucker]}
+                "plucker": [scalar_to_json(c) for c in self.plucker]}
 
 
 def span_plane(p1, p2, p3):

@@ -8,9 +8,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .field import rat, is_rational
+from .field import rat, inverse
 from .linalg import ExactMatrix, det3
-from .multipoly import MultiPoly, monomials
+from .multipoly import MultiPoly, monomials, eval_monomial
 from .projgeom import (ProjPoint, ProjPlane, plane_through_line, span_plane,
                        meet_lines)
 from . import incidence as inc
@@ -36,10 +36,6 @@ class NoDesmicPartitionError(ValueError):
 QUADRIC_MONOMIALS = monomials(4, 2)
 
 
-def _scalar_inv(x):
-    return 1 / x if is_rational(x) else x.inverse()
-
-
 class QuadricSurface:
     """A quadric as a canonicalized symmetric 4x4 matrix."""
 
@@ -50,7 +46,7 @@ class QuadricSurface:
                     None)
         if lead is None:
             raise ValueError("zero quadric")
-        inv = _scalar_inv(lead)
+        inv = inverse(lead)
         self.mat = tuple(tuple(x * inv for x in row) for row in mat)
 
     @classmethod
@@ -81,12 +77,6 @@ class QuadricSurface:
     def rank(self):
         return ExactMatrix([list(r) for r in self.mat]).rank()
 
-    def kernel_point(self):
-        kern = ExactMatrix([list(r) for r in self.mat]).kernel_basis()
-        if len(kern) != 1:
-            raise ValueError("kernel is not a single point")
-        return ProjPoint(kern[0])
-
     def coeff_vector(self):
         q = self.form()
         return [q.coefficient(m) for m in QUADRIC_MONOMIALS]
@@ -96,11 +86,6 @@ class QuadricSurface:
 
     def __hash__(self):
         return hash(self.mat)
-
-    def to_json(self):
-        from .field import rat_str
-        return [[rat_str(x) if is_rational(x) else x.to_json() for x in row]
-                for row in self.mat]
 
 
 def _restrict_to_plane(form, plane):
@@ -127,7 +112,7 @@ def residual_quadric(surface, plane, pencil_planes):
     else:
         lead_m, lead_c = f_r.leading()
         top = prod_r.coefficient(lead_m)
-        alpha = top * _scalar_inv(lead_c)
+        alpha = top * inverse(lead_c)
         if f_r.scale(alpha) != prod_r:
             raise NoSolutionError("restricted cubics are not proportional")
     remainder = product - surface.F.scale(alpha)
@@ -154,14 +139,6 @@ def steinerian_nodes(trio, lines):
     if len(nodes) != 12 or len(set(nodes)) != 12:
         raise NodeVerificationFailedError("expected 12 distinct nodes")
     return nodes
-
-
-def _eval_monomial(expo, coords):
-    acc = rat(1)
-    for x, k in zip(coords, expo):
-        for _ in range(k):
-            acc = acc * x
-    return acc
 
 
 def _face_planes(tetrad):
@@ -231,10 +208,6 @@ class QuadricWeb:
     tetrads: tuple           # desmic partition as index tetrads
     base_points: tuple       # indices of the 6 base nodes
 
-    def contains(self, quadric):
-        rows = [b.coeff_vector() for b in self.basis]
-        return ExactMatrix(rows + [quadric.coeff_vector()]).rank() == 4
-
     def member(self, lam):
         mat = [[sum((l * b.mat[r][c] for l, b in zip(lam, self.basis)), rat(0))
                 for c in range(4)] for r in range(4)]
@@ -266,12 +239,13 @@ def quadric_web(surface, trio, lines, plane=None):
                                      repeat=3):
         base_idx = tuple(part[ti][a] for ti, pair in enumerate(pairsel)
                          for a in pair)
-        rows = [[_eval_monomial(e, nodes[i].coords) for e in QUADRIC_MONOMIALS]
+        rows = [[eval_monomial(e, nodes[i].coords) for e in QUADRIC_MONOMIALS]
                 for i in base_idx]
         kern = ExactMatrix(rows).kernel_basis()
         if len(kern) != 4:
             continue
-        basis = [QuadricSurface(_symmetric_matrix(vec)) for vec in kern]
+        basis = [QuadricSurface.from_form(MultiPoly(4, zip(QUADRIC_MONOMIALS, vec)))
+                 for vec in kern]
         k_form = _jacobian_det(basis)
         if k_form.is_zero() or k_form.degree() != 4:
             continue
@@ -282,22 +256,6 @@ def quadric_web(surface, trio, lines, plane=None):
             return QuadricWeb(frozenset(trio), plane, basis, nodes, part,
                               base_idx)
     raise WrongDimensionError("no admissible base-point selection found")
-
-
-def _symmetric_matrix(coeff_vec):
-    mat = [[rat(0)] * 4 for _ in range(4)]
-    half = rat(1, 2)
-    for (e, c) in zip(QUADRIC_MONOMIALS, coeff_vec):
-        if not c:
-            continue
-        idx = [k for k in range(4) for _ in range(e[k])]
-        r, s = idx
-        if r == s:
-            mat[r][r] = c
-        else:
-            mat[r][s] = mat[r][s] + c * half
-            mat[s][r] = mat[s][r] + c * half
-    return mat
 
 
 def _second_plane(line):

@@ -1,24 +1,28 @@
 import pytest
 
 from cubicgeom import incidence as inc
-from cubicgeom.fixtures import fixture_surface
-from cubicgeom.blowup import labeled_lines
-from cubicgeom.forms import tritangent_planes, cayley_salmon
+from cubicgeom.cli import Session
+from cubicgeom.fixtures import fixture_points
 
 
 @pytest.fixture(scope="session")
-def surface():
-    return fixture_surface()
+def session():
+    return Session(fixture_points())
 
 
 @pytest.fixture(scope="session")
-def lines(surface):
-    return labeled_lines(surface)
+def surface(session):
+    return session.surface
 
 
 @pytest.fixture(scope="session")
-def planes(lines):
-    return tritangent_planes(lines)
+def lines(session):
+    return session.lines
+
+
+@pytest.fixture(scope="session")
+def planes(session):
+    return session.planes
 
 
 @pytest.fixture(scope="session")
@@ -28,9 +32,23 @@ def sorted_trios():
 
 
 @pytest.fixture(scope="session")
-def first_cs(surface, lines, planes):
-    pair = sorted(inc.enumerate_trieder_pairs())[0]
-    return cayley_salmon(surface, lines, pair, planes)
+def first_cs(session):
+    return session.first_cs
+
+
+@pytest.fixture(scope="session")
+def rep(session):
+    return session.rep
+
+
+@pytest.fixture(scope="session")
+def hexforms(session):
+    return session.hexforms
+
+
+@pytest.fixture(scope="session")
+def hexform(session):
+    return session.hexform
 
 
 @pytest.fixture(scope="session")

@@ -8,20 +8,20 @@ import json
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from cubicgeom import incidence as inc
 from cubicgeom.blowup import (build_surface, labeled_lines, incidence_table,
                               sample_surface_points)
-from cubicgeom.determinantal import (det_rep, grassmann_nets, grassmann_param,
+from cubicgeom.determinantal import (grassmann_nets, grassmann_param,
                                      param_lands_on_surface, cubo_cubic,
                                      cubo_cubic_inverse, preserves_surface,
                                      inverts_on_points, plane_image_cubic)
 from cubicgeom.fixtures import species_points
-from cubicgeom.forms import (cayley_salmon, hexahedral_from_cs,
-                             cs_from_hexahedral, hexahedral_lines,
-                             all_hexahedral_forms)
+from cubicgeom.forms import (cayley_salmon, cs_from_hexahedral,
+                             hexahedral_lines, all_hexahedral_forms)
 from cubicgeom.hexagram import hexagram_config, pentahedra, verify_all_pairs
 from cubicgeom.linalg import ExactMatrix
 from cubicgeom.multipoly import MultiPoly, monomials
@@ -86,7 +86,7 @@ def test_criterion_02_counts(lines, planes):
 
 
 def test_criterion_03_cayley_salmon(surface, lines, planes):
-    pairs = sorted(inc.enumerate_trieder_pairs())[:12]
+    pairs = inc.enumerate_trieder_pairs()[:12]
     for pair in pairs:
         cs = cayley_salmon(surface, lines, pair, planes)
         forms = cs.plane_forms()
@@ -96,8 +96,7 @@ def test_criterion_03_cayley_salmon(surface, lines, planes):
     _report(3, "F = lambda*PQR + mu*STU exactly for 12 trieder pairs")
 
 
-def test_criterion_04_hexahedral(surface, lines, planes, first_cs):
-    hexforms = hexahedral_from_cs(first_cs, surface)
+def test_criterion_04_hexahedral(surface, lines, planes, hexforms):
     for hexform in hexforms:
         total, cubes = MultiPoly(4), MultiPoly(4)
         for x in hexform.x:
@@ -117,8 +116,7 @@ def test_criterion_04_hexahedral(surface, lines, planes, first_cs):
                "splits; 360 forms over 36 double-sixes")
 
 
-def test_criterion_05_determinantal(surface, first_cs):
-    rep = det_rep(first_cs, surface)
+def test_criterion_05_determinantal(surface, rep):
     assert rep.det_poly() == surface.F.scale(rep.kappa)
     gamma = grassmann_param(grassmann_nets(rep))
     assert param_lands_on_surface(surface, gamma)
@@ -166,8 +164,7 @@ def test_criterion_06_desmic(surface, lines, planes, sorted_trios):
                "135 points in 45x12 groups x4")
 
 
-def test_criterion_07_hexagram(surface, lines, first_cs):
-    hexform = hexahedral_from_cs(first_cs, surface)[0]
+def test_criterion_07_hexagram(surface, lines, hexform):
     config = hexagram_config(hexform, surface, lines)
     assert len(config.cremona_pairs) == 60
     pentahedra(config)
@@ -214,7 +211,9 @@ def test_criterion_10_determinism(tmp_path):
             capture_output=True, check=True)
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+    golden = Path(__file__).parent / "golden" / "verify-all.json"
+    assert outs[0] == golden.read_bytes()
     report = json.loads(outs[0])
     assert report["all_pass"] is True
-    _report(10, "two verify-all runs produce byte-identical reports, all "
-                "checks passing")
+    _report(10, "two verify-all runs produce byte-identical reports, equal "
+                "to the committed golden report, all checks passing")

@@ -1,0 +1,52 @@
+"""No public function or method of the library goes unused.
+
+Every public module-level function of src/cubicgeom, and every public method
+of its public classes, must be referenced by name somewhere in src/ or
+tests/ outside its own definition.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cubicgeom"
+
+
+def _names(node):
+    """Every name that node references: variables, attributes, imports."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def _public_defs(tree):
+    """(qualified name, def node) for public functions and public methods."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_every_public_function_is_referenced():
+    trees = {path: ast.parse(path.read_text())
+             for folder in (ROOT / "src", ROOT / "tests")
+             for path in sorted(folder.rglob("*.py"))}
+    used = Counter(name for tree in trees.values() for name in _names(tree))
+    unused = []
+    for path, tree in trees.items():
+        if PACKAGE not in path.parents:
+            continue
+        for qualname, node in _public_defs(tree):
+            own = Counter(_names(node))[node.name]
+            if used[node.name] == own:
+                unused.append(f"{path.relative_to(ROOT)}: {qualname}")
+    assert not unused, "unreferenced:\n" + "\n".join(unused)

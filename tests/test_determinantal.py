@@ -1,7 +1,7 @@
 import pytest
 
 from cubicgeom.blowup import sample_surface_points
-from cubicgeom.determinantal import (det_rep, grassmann_nets, grassmann_param,
+from cubicgeom.determinantal import (grassmann_nets, grassmann_param,
                                      bilinear_identity_holds,
                                      param_lands_on_surface, param_rank_at,
                                      cubo_cubic, cubo_cubic_inverse,
@@ -9,11 +9,6 @@ from cubicgeom.determinantal import (det_rep, grassmann_nets, grassmann_param,
                                      inverts_on_points, fixes_surface_points,
                                      plane_image_cubic)
 from cubicgeom.field import rat
-
-
-@pytest.fixture(scope="module")
-def rep(surface, first_cs):
-    return det_rep(first_cs, surface)
 
 
 @pytest.fixture(scope="module")

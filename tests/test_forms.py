@@ -1,8 +1,7 @@
 from cubicgeom import incidence as inc
 from cubicgeom.field import rat
 from cubicgeom.multipoly import MultiPoly
-from cubicgeom.forms import (tritangent_plane, cayley_salmon,
-                             hexahedral_from_cs, cs_from_hexahedral,
+from cubicgeom.forms import (tritangent_plane, cayley_salmon, cs_from_hexahedral,
                              hexahedral_lines, segre_membership)
 
 
@@ -29,13 +28,12 @@ def test_cayley_salmon_identity(surface, first_cs):
 
 
 def test_cayley_salmon_many_pairs(surface, lines, planes):
-    for pair in sorted(inc.enumerate_trieder_pairs())[:12]:
+    for pair in inc.enumerate_trieder_pairs()[:12]:
         cs = cayley_salmon(surface, lines, pair, planes)
         assert cs.lam != 0 and cs.mu != 0
 
 
-def test_hexahedral_identities(surface, first_cs):
-    hexforms = hexahedral_from_cs(first_cs, surface)
+def test_hexahedral_identities(surface, hexforms):
     assert len(hexforms) == 3
     for hexform in hexforms:
         total = MultiPoly(4)
@@ -48,23 +46,20 @@ def test_hexahedral_identities(surface, first_cs):
         assert hexform.c != 0
 
 
-def test_hexahedral_lines_and_double_six(surface, lines, first_cs):
-    hexform = hexahedral_from_cs(first_cs, surface)[0]
+def test_hexahedral_lines_and_double_six(lines, hexform):
     matched, ds = hexahedral_lines(hexform, lines)
     assert len(matched) == 15
     assert len(set(matched.values())) == 15
     assert inc.is_double_six_labels(ds)
 
 
-def test_cs_from_hexahedral_ten_splits(surface, first_cs):
-    hexform = hexahedral_from_cs(first_cs, surface)[0]
+def test_cs_from_hexahedral_ten_splits(surface, hexform):
     splits = cs_from_hexahedral(hexform, surface)
     assert len(splits) == 10
 
 
-def test_segre_membership(surface, first_cs):
+def test_segre_membership(surface, hexform):
     # surface points land on the Segre-cubic slice cut by the extra relation
     from cubicgeom.blowup import sample_surface_points
-    hexform = hexahedral_from_cs(first_cs, surface)[0]
     pts = sample_surface_points(surface, 5, seed=2)
     assert segre_membership(hexform, pts)

@@ -2,16 +2,14 @@ import pytest
 
 from cubicgeom import incidence as inc
 from cubicgeom.blowup import sample_surface_points, lines_meet
-from cubicgeom.forms import hexahedral_from_cs
 from cubicgeom.hexagram import (hexagram_config, pentahedra, project_hexagram,
                                 default_screen, verify_all_pairs,
-                                DegenerateCenter, _line_on_surface)
+                                DegenerateCenter)
 from cubicgeom.linalg import ExactMatrix
 
 
 @pytest.fixture(scope="module")
-def config(surface, lines, first_cs):
-    hexform = hexahedral_from_cs(first_cs, surface)[0]
+def config(surface, lines, hexform):
     return hexagram_config(hexform, surface, lines)
 
 
@@ -31,7 +29,7 @@ def test_index_rule_matches_geometry(config):
 
 def test_pascal_lines_off_surface(surface, config):
     for line in config.pascal_lines.values():
-        assert not _line_on_surface(surface, line)
+        assert not surface.contains_line(line)
 
 
 def test_pentahedra_structure(config):
