@@ -18,6 +18,10 @@ class NotARootError(ValueError):
     """A claimed root does not annihilate the form."""
 
 
+class IrrationalCoefficientsError(ValueError):
+    """A cubic with a coefficient outside Q: its roots are not computed."""
+
+
 def binary_from_poly(p, degree):
     """Dense coefficient list [c_0, ..., c_degree] of a binary form held as a
     MultiPoly in 2 variables; absent terms are zero."""
@@ -195,7 +199,8 @@ def solve_cubic(coeffs, tower=QQ):
     Returns a list of ((t, u), tower) pairs, one root per irreducible factor:
     rational roots stay in the given tower; an irreducible quadratic or cubic
     factor contributes a single root in a fresh degree-2/3 extension.
-    Raises MultipleRootError on a repeated root.
+    Raises MultipleRootError on a repeated root, and
+    IrrationalCoefficientsError if a coefficient is not rational.
     """
     if len(coeffs) != 4:
         raise ValueError("expected 4 coefficients")
@@ -203,7 +208,9 @@ def solve_cubic(coeffs, tower=QQ):
     for c in coeffs:
         r = c if is_rational(c) else c.as_rational()
         if r is None:
-            raise NotImplementedError("root extraction beyond Q coefficients")
+            raise IrrationalCoefficientsError(
+                "a coefficient is not rational; roots are only extracted "
+                "from cubics over Q")
         vals.append(rat(r))
     if not any(vals):
         raise ValueError("cubic is identically zero")

@@ -69,15 +69,15 @@ class GrassmannNets:
     """3x4 matrix A with entries linear in (lambda_1..lambda_3), M(t)*lam = A(lam)*t."""
 
     a: list               # 3x4 of linear MultiPoly(3)
-    tensor: list          # tensor[j][k][i]: coeff of t_i in M[j][k]
     rep: DeterminantalRep
 
 
 def grassmann_nets(rep):
+    # tensor[j][k][i]: coefficient of t_i in M[j][k]
     tensor = [[entry.linear_coeffs() for entry in row] for row in rep.matrix]
     a = [[MultiPoly.linear_form([tensor[j][k][i] for k in range(3)])
           for i in range(4)] for j in range(3)]
-    nets = GrassmannNets(a, tensor, rep)
+    nets = GrassmannNets(a, rep)
     if not bilinear_identity_holds(nets):
         raise DegenerateNetsError("net rewriting does not match the matrix")
     return nets

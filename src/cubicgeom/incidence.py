@@ -110,6 +110,7 @@ def skew_sixes():
     return sixes
 
 
+@lru_cache(maxsize=1)
 def enumerate_double_sixes():
     """The 36 double-sixes, each a frozenset of two skew sixes."""
     sixes = skew_sixes()
@@ -119,7 +120,7 @@ def enumerate_double_sixes():
             continue
         if _is_double_six(s1, s2):
             out.add(frozenset({s1, s2}))
-    return sorted(out, key=_ds_sort_key)
+    return tuple(sorted(out, key=_ds_sort_key))
 
 
 def _is_double_six(s1, s2):
@@ -172,6 +173,7 @@ def _disjoint_trio_triples():
                 yield frozenset({t1, t2, t3})
 
 
+@lru_cache(maxsize=1)
 def enumerate_trieder_pairs():
     """The 120 trihedral pairs, canonically as {rows, cols} (sets of 3 trios)."""
     by_lines = {}
@@ -183,7 +185,7 @@ def enumerate_trieder_pairs():
         for rows, cols in itertools.combinations(triples, 2):
             if _transversal(rows, cols):
                 pairs.add(frozenset({rows, cols}))
-    return sorted(pairs, key=_pair_sort_key)
+    return tuple(sorted(pairs, key=_pair_sort_key))
 
 
 def _transversal(rows, cols):
@@ -211,6 +213,7 @@ def _trio_key(t):
     return sorted(LABEL_INDEX[l] for l in t)
 
 
+@lru_cache(maxsize=1)
 def enumerate_triads():
     """The 40 partitions of the 27 lines into three trihedral pairs."""
     pairs = enumerate_trieder_pairs()
@@ -226,7 +229,7 @@ def enumerate_triads():
                 p3 = pairs[k]
                 if lines_of[p3] == rest:
                     triads.add(frozenset({p1, p2, p3}))
-    return sorted(triads, key=lambda tr: sorted(map(_pair_sort_key, tr)))
+    return tuple(sorted(triads, key=lambda tr: sorted(map(_pair_sort_key, tr))))
 
 
 # -- enneahedra ------------------------------------------------------------

@@ -6,7 +6,7 @@ tetrahedra, and the grouping of the 135 line-intersection points.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .field import rat, inverse
 from .linalg import ExactMatrix, det3
@@ -37,9 +37,11 @@ QUADRIC_MONOMIALS = monomials(4, 2)
 
 
 class QuadricSurface:
-    """A quadric as a canonicalized symmetric 4x4 matrix."""
+    """A quadric as a canonicalized symmetric 4x4 matrix: the given matrix
+    divided by its first nonzero entry, which is kept as `lead`.  Equality
+    and hashing read `mat` only."""
 
-    __slots__ = ("mat",)
+    __slots__ = ("mat", "lead")
 
     def __init__(self, mat):
         lead = next((mat[r][c] for r in range(4) for c in range(4) if mat[r][c]),
@@ -48,6 +50,7 @@ class QuadricSurface:
             raise ValueError("zero quadric")
         inv = inverse(lead)
         self.mat = tuple(tuple(x * inv for x in row) for row in mat)
+        self.lead = lead
 
     @classmethod
     def from_form(cls, q):
@@ -73,9 +76,6 @@ class QuadricSurface:
                     e[c] += 1
                     acc = acc + MultiPoly(4, {tuple(e): self.mat[r][c]})
         return acc
-
-    def rank(self):
-        return ExactMatrix([list(r) for r in self.mat]).rank()
 
     def coeff_vector(self):
         q = self.form()
@@ -152,18 +152,44 @@ def _face_product(tetrad):
     return acc
 
 
+def _dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), rat(0))
+
+
+def _face_covector(rows):
+    """A covector of the plane through three points of P^3, up to scale: the
+    signed 3x3 minors of their coordinate rows, zero if they are collinear."""
+    minors = [det3([[row[c] for c in range(4) if c != m] for row in rows])
+              for m in range(4)]
+    return [-x if m % 2 else x for m, x in enumerate(minors)]
+
+
 def desmic_partition(nodes):
     """The unique split of the 12 nodes into 3 tetrahedra with linearly
-    dependent face-plane products (checked over all 5775 partitions)."""
-    tetrads = {}
+    dependent face-plane products (checked over all 5775 partitions).
+
+    A partition is a candidate when the face products agree at 3 probes up to
+    a dependence; those values come from one covector per node triple, each
+    known only up to scale, which changes neither which tetrads are
+    degenerate nor whether the 3x3 probe determinant vanishes.  Candidates
+    are confirmed on the exact face-plane products.
+    """
     probes = [(rat(1), rat(2), rat(3), rat(5)), (rat(1), rat(-1), rat(2), rat(7)),
               (rat(2), rat(3), rat(-5), rat(1))]
+    faces = {}
+    for triple in itertools.combinations(range(12), 3):
+        h = _face_covector([nodes[i].coords for i in triple])
+        faces[triple] = (h, [_dot(h, p) for p in probes])
+    tetrads = {}
     for combo in itertools.combinations(range(12), 4):
-        pts = [nodes[i] for i in combo]
-        if not ExactMatrix([list(p.coords) for p in pts]).det():
+        # the 4x4 determinant of the tetrad is +- face . opposite vertex
+        if not _dot(faces[combo[1:]][0], nodes[combo[0]].coords):
             continue
-        prod = _face_product(pts)
-        tetrads[combo] = [prod.evaluate(p) for p in probes]
+        values = [rat(1)] * len(probes)
+        for i in range(4):
+            face_values = faces[combo[:i] + combo[i + 1:]][1]
+            values = [v * f for v, f in zip(values, face_values)]
+        tetrads[combo] = values
     found = []
     deg4 = monomials(4, 4)
     for part in _partitions_into_tetrads(12):
@@ -339,6 +365,68 @@ def _det4(m):
     return acc
 
 
+_UPPER = [(r, c) for r in range(4) for c in range(r, 4)]
+
+
+def _symmetric(entries):
+    """The symmetric 4x4 matrix with the given upper-triangle entries."""
+    mat = [[None] * 4 for _ in range(4)]
+    for (r, c), x in zip(_UPPER, entries):
+        mat[r][c] = mat[c][r] = x
+    return mat
+
+
+def _product_entries(u, v):
+    """Upper-triangle entries of the matrix of the quadric u*v."""
+    half = rat(1, 2)
+    return [u[r] * v[r] if r == c else (u[r] * v[c] + u[c] * v[r]) * half
+            for r, c in _UPPER]
+
+
+def _pencil_members(trio, planes):
+    """For each line of the trio, in label order, the 4 other tritangent
+    planes through it."""
+    return [[planes[t] for t in inc.TRITANGENT_TRIOS if lab in t and t != trio]
+            for lab in sorted(trio, key=lambda l: inc.LABEL_INDEX[l])]
+
+
+def _trilinear_quadrics(surface, plane, members):
+    """The residual quadrics of all 64 triples of pencil members, unscaled,
+    as upper-triangle entries in itertools.product order.
+
+    Each member through line i is a*plane + b*o_i, with o_i the first one.
+    The residual quadric is trilinear in the three (a, b): a corner with a
+    plane factor is the product of the other two linear forms, and only the
+    (o_1, o_2, o_3) corner needs residual_quadric.
+    """
+    fixed = [m[0] for m in members]
+    weights = []
+    for o, ms in zip(fixed, members):
+        pencil = ExactMatrix([plane.coeffs, o.coeffs]).transpose()
+        ab = [pencil.solve(list(h.coeffs)) for h in ms]
+        if None in ab:
+            raise NoSolutionError("a member is not in the pencil of its line")
+        weights.append(ab)
+    q, _ = residual_quadric(surface, plane, fixed)
+    factors = [(plane.coeffs, o.coeffs) for o in fixed]
+    table = {}
+    for corner in itertools.product((0, 1), repeat=3):
+        if corner == (1, 1, 1):
+            table[corner] = [q.lead * q.mat[r][c] for r, c in _UPPER]
+        else:
+            drop = corner.index(0)
+            u, v = (factors[i][s] for i, s in enumerate(corner) if i != drop)
+            table[corner] = _product_entries(u, v)
+    # contract the corner index of each pencil in turn with its 4 members
+    for i, ab in enumerate(weights):
+        table = {key[:i] + (j,) + key[i + 1:]:
+                 [a * x + b * y for x, y in
+                  zip(entries, table[key[:i] + (1,) + key[i + 1:]])]
+                 for key, entries in table.items() if key[i] == 0
+                 for j, (a, b) in enumerate(ab)}
+    return [table[key] for key in itertools.product(range(4), repeat=3)]
+
+
 def six_line_quadric_census(surface, lines, planes=None, trios=None):
     """For each tritangent plane, the 64 residual quadrics of tritangent
     pencil members, with per-set nonsingular counts and global deduplication."""
@@ -347,22 +435,17 @@ def six_line_quadric_census(surface, lines, planes=None, trios=None):
     per_set = {}
     membership = {}
     for trio in trios:
-        plane = planes[trio]
-        choices = []
-        for lab in sorted(trio, key=lambda l: inc.LABEL_INDEX[l]):
-            others = [planes[t] for t in inc.TRITANGENT_TRIOS
-                      if lab in t and t != trio]
-            choices.append(others)
         nonsingular = []
         singular_ranks = []
-        for triple in itertools.product(*choices):
-            q, _ = residual_quadric(surface, plane, list(triple))
-            r = q.rank()
-            if r == 4:
+        for entries in _trilinear_quadrics(surface, planes[trio],
+                                           _pencil_members(trio, planes)):
+            mat = _symmetric(entries)
+            if ExactMatrix(mat).det():
+                q = QuadricSurface(mat)
                 nonsingular.append(q)
                 membership.setdefault(q, set()).add(trio)
             else:
-                singular_ranks.append(r)
+                singular_ranks.append(ExactMatrix(mat).rank())
         per_set[trio] = {"nonsingular": nonsingular,
                          "singular_ranks": sorted(singular_ranks)}
     distinct = set(membership)

@@ -3,7 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from cubicgeom import cli
 from cubicgeom.cli import main, load_points, build_parser, SchemaError
+from cubicgeom.field import scalar_to_json
+from cubicgeom.fixtures import species_points
 
 GOLDEN = Path(__file__).parent / "golden"
 FRAME = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["1", "1", "1"]]
@@ -164,3 +167,41 @@ def test_zero_divisor_above_q_exits_2(tmp_path, capsys):
                            [one, "2", "3"]]})
     assert main(["construct", "--input", path]) == 2
     assert "ZeroDivisorError" in capsys.readouterr().err
+
+
+def _species_input(tmp_path, k):
+    points = species_points(k)
+    return _write(tmp_path, {
+        "schema": 1, "field": {"levels": [["1", "0", "1"]]},
+        "points": [[scalar_to_json(c) for c in p.coords] for p in points.points]})
+
+
+def test_hexahedral_over_extension_exits_1(tmp_path, capsys):
+    # over Q(i) the hexahedral cubic of species 3 has coefficients outside Q,
+    # whose roots solve_cubic does not extract
+    path = _species_input(tmp_path, 3)
+    assert main(["hexahedral", "--input", path]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: IrrationalCoefficientsError: ")
+
+
+def test_verify_all_over_extension_fails_only_hexahedral_claims(
+        tmp_path, capsys, monkeypatch):
+    # The cubo-cubic, web and census checks take about 100 s together over
+    # Q(i) and do not touch the hexahedral forms; they are stubbed as passing.
+    monkeypatch.setattr(cli, "_cubo_cubic", lambda s, seed: {
+        "preserves_surface": True, "inverse_composes_to_identity": True,
+        "plane_image_cubic_kernel": 1})
+    monkeypatch.setattr(cli, "_webs", lambda s, census: [])
+    monkeypatch.setattr(cli, "_census",
+                        lambda s: ({"48": 45}, 360, {"6": 360}))
+    path = _species_input(tmp_path, 3)
+    code, out = _run(capsys, "verify-all", "--input", path)
+    assert code == 1
+    rows = out.splitlines()
+    assert len(rows) == 13 and rows[-1] == "SOME CHECKS FAILED"
+    failed = [r for r in rows if r.startswith("FAIL: ")]
+    assert failed == [rows[3], rows[9]]
+    assert rows[3].startswith("FAIL: hexahedral form")
+    assert rows[9].startswith("FAIL: 60 Cremona pairs")
+    assert all("(IrrationalCoefficientsError: " in r for r in failed)

@@ -1,8 +1,11 @@
+import itertools
 from collections import Counter
 
 import pytest
 
 from cubicgeom import incidence as inc
+from cubicgeom.blowup import SixPoints
+from cubicgeom.cli import Session
 from cubicgeom.field import rat
 from cubicgeom.linalg import ExactMatrix
 from cubicgeom.multipoly import MultiPoly, monomials
@@ -10,7 +13,13 @@ from cubicgeom.quadrics import (QuadricSurface, residual_quadric,
                                 residual_family_rank, steinerian_nodes,
                                 desmic_partition, quadric_web, steinerian,
                                 six_line_quadric_census,
-                                intersection_point_grouping, _face_product)
+                                intersection_point_grouping, _face_product,
+                                _pencil_members, _trilinear_quadrics,
+                                _symmetric)
+
+# Nonsingular, with three lines through (1:-4:7:-5): an Eckardt point.
+ECKARDT_COORDS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3),
+                  (1, 3, -2)]
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +128,51 @@ def test_census_counts(surface, lines, planes):
     assert set(census["multiplicities"]) == {6}
     for v in census["per_set"].values():
         assert v["singular_ranks"] == [2] * 16
+
+
+@pytest.mark.parametrize("k", [0, 44])
+def test_trilinear_quadrics_are_residual_quadrics(surface, planes,
+                                                  sorted_trios, k):
+    # the census's 64 quadrics per plane, from 8 corners, against the
+    # definition: one residual_quadric per triple of pencil members
+    trio = sorted_trios[k]
+    plane = planes[trio]
+    members = _pencil_members(trio, planes)
+    quadrics = _trilinear_quadrics(surface, plane, members)
+    triples = list(itertools.product(*members))
+    assert len(quadrics) == len(triples) == 64
+    for entries, triple in zip(quadrics, triples):
+        expected, _ = residual_quadric(surface, plane, list(triple))
+        assert QuadricSurface(_symmetric(entries)) == expected
+
+
+@pytest.fixture(scope="module")
+def eckardt():
+    return Session(SixPoints([[rat(x) for x in p] for p in ECKARDT_COORDS]))
+
+
+def test_eckardt_input_has_an_eckardt_point(eckardt):
+    points, _ = intersection_point_grouping(eckardt.lines)
+    assert len(set(points.values())) == 133
+
+
+def test_census_counts_on_eckardt_surface(eckardt):
+    census = six_line_quadric_census(eckardt.surface, eckardt.lines,
+                                     eckardt.planes)
+    per = Counter(len(v["nonsingular"]) for v in census["per_set"].values())
+    assert per == Counter({48: 45})
+    assert len(census["distinct"]) == 360
+    assert Counter(census["multiplicities"]) == Counter({6: 360})
+
+
+def test_first_webs_on_eckardt_surface(eckardt, sorted_trios):
+    for trio in sorted_trios[:3]:
+        web = quadric_web(eckardt.surface, trio, eckardt.lines,
+                          eckardt.planes[trio])
+        quartic = steinerian(eckardt.surface, web, eckardt.lines)
+        assert len(web.basis) == 4
+        assert len(quartic.nodes) == 12
+        assert sorted(i for t in web.tetrads for i in t) == list(range(12))
 
 
 def test_grouping_135_points(lines):
