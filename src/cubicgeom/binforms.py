@@ -7,7 +7,8 @@ A projective root (a : b) corresponds to the linear factor  b s - a t.
 
 from __future__ import annotations
 
-from .field import QQ, rat, is_rational, inverse
+from .field import (QQ, rat, is_rational, inverse, _poly_divmod, _poly_trim,
+                    _poly_xgcd)
 
 
 class MultipleRootError(ValueError):
@@ -76,30 +77,10 @@ def _deflate_once(coeffs, a, b):
     return [-c * ainv for c in coeffs[1:]]
 
 
-def _trim(v):
-    while v and not v[-1]:
-        v.pop()
-    return v
-
-
-def _univ_gcd_degree(p, q):
-    """Degree of gcd of two dense (constant-first) univariate polys over a field."""
-    p, q = _trim(list(p)), _trim(list(q))
-    while q:
-        inv = inverse(q[-1])
-        while len(p) >= len(q):
-            f = p[-1] * inv
-            off = len(p) - len(q)
-            for i in range(len(q)):
-                p[off + i] = p[off + i] - f * q[i]
-            p.pop()
-            _trim(p)
-        p, q = q, p
-    return len(p) - 1
-
-
 def _has_repeated_root(dense):
-    return _univ_gcd_degree(dense, [dense[k] * k for k in range(1, len(dense))]) > 0
+    """Whether a dense poly over Q has a factor in common with its derivative."""
+    derivative = [dense[k] * k for k in range(1, len(dense))]
+    return len(_poly_xgcd(dense, derivative, QQ)[0]) > 1
 
 
 def irreducible_over_q(dense):
@@ -117,7 +98,7 @@ def _rational_roots(dense):
     """
     from math import gcd, lcm
     roots = []
-    dense = _trim(list(dense))
+    dense = _poly_trim(list(dense))
     if dense and not dense[0]:
         roots.append(rat(0))
         dense = dense[1:]
@@ -222,31 +203,18 @@ def solve_cubic(coeffs, tower=QQ):
             raise MultipleRootError("(1 : 0) is a repeated root")
         roots.append(((tower.embed(rat(1)), tower.embed(rat(0))), tower))
     # dehomogenize: p(t) = f(t, 1), coefficients constant-first
-    dense = [c3, c2, c1, c0]
-    while dense and not dense[-1]:
-        dense.pop()
+    dense = _poly_trim([c3, c2, c1, c0])
     if _has_repeated_root(dense):
         raise MultipleRootError("repeated finite root")
     rational = _rational_roots(dense)
     residual = dense
     for r in rational:
         roots.append(((tower.embed(r), tower.embed(rat(1))), tower))
-        residual = _deflate_dense(residual, r)
+        residual = _poly_divmod(residual, [-r, rat(1)], QQ)[0]
     deg = len(residual) - 1
     if deg >= 2:
         lead = residual[-1]
         minpoly = [c / lead for c in residual]
-        ext = tower.extend([tower.embed(c) if not tower.is_rational_field() else c
-                            for c in minpoly])
+        ext = tower.extend(minpoly)
         roots.append(((ext.gen(), ext.one()), ext))
     return roots
-
-
-def _deflate_dense(dense, r):
-    """Exact quotient of a constant-first dense poly by (x - r)."""
-    out = [rat(0)] * (len(dense) - 1)
-    carry = rat(0)
-    for k in reversed(range(1, len(dense))):
-        carry = dense[k] + carry * r
-        out[k - 1] = carry
-    return out

@@ -56,8 +56,7 @@ class SixPoints:
 
 def check_general_position(pts):
     """No coincident pair, no collinear triple, no conic through all six."""
-    points = pts.points if isinstance(pts, SixPoints) else [
-        p if isinstance(p, ProjPoint) else ProjPoint(p) for p in pts]
+    points = pts.points
     for i, j in itertools.combinations(range(6), 2):
         if points[i] == points[j]:
             raise DegeneratePointsError(f"points {i} and {j} coincide", (i, j))
@@ -73,9 +72,8 @@ def check_general_position(pts):
 
 def cubic_net(pts):
     """Basis (4 cubics) of the net of plane cubics through the six points."""
-    points = pts.points if isinstance(pts, SixPoints) else list(pts)
     m = ExactMatrix([[eval_monomial(e, p.coords) for e in CUBIC_MONOMIALS_P2]
-                     for p in points])
+                     for p in pts])
     kern = m.kernel_basis()
     if len(kern) != 4:
         raise DegeneratePointsError(
@@ -125,8 +123,7 @@ def implicitize(basis, source):
     return CubicSurface(form, basis, source)
 
 
-def build_surface(pts, tower=QQ):
-    pts = pts if isinstance(pts, SixPoints) else SixPoints(pts, tower)
+def build_surface(pts):
     return implicitize(cubic_net(pts), pts)
 
 

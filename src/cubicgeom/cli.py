@@ -106,8 +106,8 @@ class Session:
     @cached_property
     def first_cs(self):
         """The Cayley-Salmon form of the first trihedral pair."""
-        return cayley_salmon(self.surface, self.lines,
-                             inc.enumerate_trieder_pairs()[0], self.planes)
+        return cayley_salmon(self.surface, inc.enumerate_trieder_pairs()[0],
+                             self.planes)
 
     @cached_property
     def rep(self):
@@ -168,7 +168,7 @@ def _cayley_salmon_pairs(s, full):
     pairs = inc.enumerate_trieder_pairs()[:120 if full else 12]
     s.first_cs
     for pair in pairs[1:]:
-        cayley_salmon(s.surface, s.lines, pair, s.planes)
+        cayley_salmon(s.surface, pair, s.planes)
     return len(pairs)
 
 
@@ -271,7 +271,7 @@ def _webs(s, census):
 def _census(s):
     """Per-set nonsingular counts, distinct count and multiplicities of the
     residual quadric census, as reported."""
-    census = six_line_quadric_census(s.surface, s.lines, s.planes)
+    census = six_line_quadric_census(s.surface, s.planes)
     per = Counter(len(v["nonsingular"]) for v in census["per_set"].values())
     mult = Counter(census["multiplicities"])
     return ({str(k): per[k] for k in sorted(per)}, len(census["distinct"]),
@@ -326,8 +326,7 @@ def _hexagram(s, seed):
     """The hexagram configuration of the first hexahedral form, its
     pentahedra, and the projection check of all 60 pairs at 3 centers."""
     config = hexagram_config(s.hexform, s.surface, s.lines)
-    reports = verify_all_pairs(s.surface, config, s.lines,
-                               centers_per_pair=3, seed=seed)
+    reports = verify_all_pairs(s.surface, config, s.lines, seed=seed)
     return {"cremona_pairs": len(config.cremona_pairs),
             "shared_line_pairs": len(config.shared_pairs),
             "pascal_lines": len(set(config.pascal_lines.values())),

@@ -1,9 +1,10 @@
 """Exact scalars: rationals and small extension fields Q(theta).
 
 Rationals are gmpy2.mpq values (fractions.Fraction if gmpy2 is missing).
-Extension elements live in a FieldTower: a stack of monic defining
-polynomials, each with coefficients in the level below.  Towers of total
-degree <= 3 are all we ever build, but the arithmetic is generic.
+Extension elements live in a FieldTower level: a monic defining polynomial
+with coefficients in the level below, its ``base``.  Inputs may stack
+several levels, and solve_cubic over Q(i) adds a cubic level on top (total
+degree 6); the arithmetic works at any height.
 """
 
 from __future__ import annotations
@@ -44,29 +45,24 @@ def rat_str(x):
 
 
 class FieldTower:
-    """A tower Q = L_0 < L_1 < ... < L_k, each step a quotient by a monic poly.
+    """One level L_k of a tower Q = L_0 < L_1 < ... < L_k.
 
-    levels[i] is the monic minimal polynomial of the i-th generator, stored as
-    a coefficient list (constant first, top coefficient 1) whose entries are
-    elements of level i-1.
+    A level above Q holds ``base``, the level below it, and ``modulus``, the
+    monic minimal polynomial of its generator as a coefficient list (constant
+    first, top coefficient 1) of elements of ``base``.  Q itself has neither.
     """
 
-    def __init__(self, levels=(), names=()):
-        self.levels = [list(p) for p in levels]
-        for p in self.levels:
-            if len(p) < 3 or p[-1] != 1:
-                raise ValueError("defining polynomial must be monic of degree >= 2")
-        self.names = list(names) if names else [f"theta{i}" for i in range(len(self.levels))]
-        self.degree = 1
-        for p in self.levels:
-            self.degree *= len(p) - 1
-
-    @property
-    def height(self):
-        return len(self.levels)
-
-    def is_rational_field(self):
-        return not self.levels
+    def __init__(self, base=None, modulus=None, name=None):
+        self.base = base
+        self.modulus = modulus
+        if base is None:
+            self.height, self.degree, self.names = 0, 1, []
+            return
+        if len(modulus) < 3 or modulus[-1] != 1:
+            raise ValueError("defining polynomial must be monic of degree >= 2")
+        self.height = base.height + 1
+        self.degree = base.degree * (len(modulus) - 1)
+        self.names = base.names + [name or f"theta{base.height}"]
 
     def zero(self):
         return self.embed(rat(0))
@@ -75,31 +71,35 @@ class FieldTower:
         return self.embed(rat(1))
 
     def embed(self, x):
-        """Embed a rational (or lower-level element) as an element of the top level."""
-        if not self.levels:
-            return _mpq(x) if not isinstance(x, FieldElement) else x
-        return FieldElement(self, [x])
+        """A rational, or an element of this level or of one below, as an
+        element of this level; ValueError if x lies in another tower."""
+        height = x.tower.height if isinstance(x, FieldElement) else 0
+        if height < self.height:
+            return FieldElement(self, [self.base.embed(x)])
+        if not height:
+            return _mpq(x)
+        if x.tower != self:
+            raise ValueError(f"{x!r} does not lie in {self!r}")
+        return x
 
     def gen(self):
-        """The top-level generator theta."""
-        if not self.levels:
+        """The generator theta of this level."""
+        if self.base is None:
             raise ValueError("the rational field has no generator")
-        return FieldElement(self, [rat(0), rat(1)])
+        return FieldElement(self, [self.base.zero(), self.base.one()])
 
     def extend(self, minpoly, name=None):
-        """New tower with one more level; minpoly coefficients live in this tower."""
-        names = self.names + [name or f"theta{self.height}"]
-        return FieldTower(self.levels + [list(minpoly)], names)
-
-    def lower(self):
-        """The tower one level down."""
-        return FieldTower(self.levels[:-1], self.names[:-1])
+        """New level on top of this one; minpoly coefficients live in this tower."""
+        return FieldTower(self, [self.embed(c) for c in minpoly], name)
 
     def __eq__(self, other):
-        return isinstance(other, FieldTower) and self.levels == other.levels
+        return self is other or (isinstance(other, FieldTower)
+                                 and self.height == other.height
+                                 and self.base == other.base
+                                 and self.modulus == other.modulus)
 
     def __repr__(self):
-        if not self.levels:
+        if self.base is None:
             return "QQ"
         return "QQ(" + ", ".join(self.names) + ")"
 
@@ -118,36 +118,30 @@ def _coerce_pair(a, b):
             if b.tower.height < a.tower.height:
                 return a, a.tower.embed(b)
             return None
-        return a, FieldElement(a.tower, [b])
+        return a, a.tower.embed(b)
     if isinstance(b, FieldElement):
-        return FieldElement(b.tower, [a]), b
+        return b.tower.embed(a), b
     return a, b
 
 
 class FieldElement:
-    """Element of a FieldTower, as a reduced coefficient vector over the level below."""
+    """Element of a FieldTower level, as a coefficient vector over its base.
+
+    The coefficients must already be elements of ``tower.base`` (rationals
+    when the base is Q); they are reduced modulo ``tower.modulus`` and padded
+    with zeros to exactly deg(modulus) entries.  FieldTower.embed lifts
+    anything else.
+    """
 
     __slots__ = ("tower", "coeffs", "_hash")
 
     def __init__(self, tower, coeffs):
         self.tower = tower
-        lower = tower.lower()
-        lifted = []
-        for c in coeffs:
-            if isinstance(c, FieldElement) and c.tower.height >= tower.height:
-                raise ValueError("coefficient does not live in the lower level")
-            if lower.is_rational_field():
-                lifted.append(_mpq(c) if not isinstance(c, FieldElement) else c)
-            else:
-                lifted.append(c if isinstance(c, FieldElement) and c.tower == lower
-                              else lower.embed(c))
-        modulus = tower.levels[-1]
-        deg = len(modulus) - 1
-        if len(lifted) >= len(modulus):
-            lifted = _poly_mod(lifted, modulus, lower)
-        while len(lifted) < deg:
-            lifted.append(lower.zero() if not lower.is_rational_field() else rat(0))
-        self.coeffs = lifted[:deg]
+        coeffs = list(coeffs)
+        deg = len(tower.modulus) - 1
+        if len(coeffs) > deg:
+            coeffs = _poly_divmod(coeffs, tower.modulus, tower.base)[1]
+        self.coeffs = coeffs + [tower.base.zero()] * (deg - len(coeffs))
         self._hash = None
 
     # -- structure ---------------------------------------------------------
@@ -169,7 +163,7 @@ class FieldElement:
 
     def conjugate(self):
         """theta -> -theta on a degree-2 top level (the defining poly must be even)."""
-        modulus = self.tower.levels[-1]
+        modulus = self.tower.modulus
         if len(modulus) != 3 or modulus[1]:
             raise ValueError("conjugation needs a top level x^2 - d")
         return FieldElement(self.tower, [self.coeffs[0], -self.coeffs[1]])
@@ -183,10 +177,7 @@ class FieldElement:
         a, b = pair
         if not isinstance(a, FieldElement):
             return a + b
-        n = max(len(a.coeffs), len(b.coeffs))
-        za = a.coeffs + [a.tower.lower().zero()] * (n - len(a.coeffs))
-        zb = b.coeffs + [b.tower.lower().zero()] * (n - len(b.coeffs))
-        return FieldElement(a.tower, [x + y for x, y in zip(za, zb)])
+        return FieldElement(a.tower, [x + y for x, y in zip(a.coeffs, b.coeffs)])
 
     __radd__ = __add__
 
@@ -206,18 +197,15 @@ class FieldElement:
         a, b = pair
         if not isinstance(a, FieldElement):
             return a * b
-        prod = _poly_mul(a.coeffs, b.coeffs)
-        return FieldElement(a.tower, prod)
+        return FieldElement(a.tower, _poly_mul(a.coeffs, b.coeffs, a.tower.base))
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        modulus = self.tower.levels[-1]
-        lower = self.tower.lower()
-        g, s, _ = _poly_xgcd(list(self.coeffs), list(modulus), lower)
-        if len(_poly_trim(g)) != 1:
+        g, s = _poly_xgcd(self.coeffs, self.tower.modulus, self.tower.base)
+        if len(g) != 1:
             raise ZeroDivisorError(
                 f"non-invertible element in {self.tower!r}: modulus is reducible")
         inv_lead = inverse(g[0])
@@ -245,9 +233,10 @@ class FieldElement:
         return a.coeffs == b.coeffs
 
     def __hash__(self):
+        # An element of a lower level hashes alike wherever it is embedded.
         if self._hash is None:
-            r = self.as_rational()
-            self._hash = hash(r) if r is not None else hash(tuple(self.coeffs))
+            self._hash = hash(tuple(self.coeffs) if any(self.coeffs[1:])
+                              else self.coeffs[0])
         return self._hash
 
     def __repr__(self):
@@ -281,13 +270,13 @@ def scalar_to_json(x):
 def scalar_from_json(tower, data):
     """Inverse of scalar_to_json for a given tower; ValueError if malformed."""
     if isinstance(data, str):
-        return rat(data) if tower.is_rational_field() else tower.embed(rat(data))
-    if tower.is_rational_field() or not isinstance(data, list):
+        return tower.embed(rat(data))
+    if tower.base is None or not isinstance(data, list):
         raise ValueError(f"not a scalar over {tower!r}: {data!r}")
-    return FieldElement(tower, [scalar_from_json(tower.lower(), c) for c in data])
+    return FieldElement(tower, [scalar_from_json(tower.base, c) for c in data])
 
 
-# -- dense univariate helpers over a lower level ---------------------------
+# -- dense univariate polynomials (constant first) over a tower level ---------
 
 def _poly_trim(p):
     while p and not p[-1]:
@@ -295,8 +284,8 @@ def _poly_trim(p):
     return p
 
 
-def _poly_mul(a, b):
-    out = [rat(0)] * (len(a) + len(b) - 1)
+def _poly_mul(a, b, base):
+    out = [base.zero()] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if not x:
             continue
@@ -306,13 +295,14 @@ def _poly_mul(a, b):
     return out
 
 
-def _poly_divmod(a, b, lower):
+def _poly_divmod(a, b, base):
+    """(quotient, remainder) of a by b; the remainder comes back trimmed."""
     a = list(a)
     b = _poly_trim(list(b))
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     inv_lead = inverse(b[-1])
-    q = [lower.zero()] * max(0, len(a) - len(b) + 1)
+    q = [base.zero()] * max(0, len(a) - len(b) + 1)
     while len(_poly_trim(a)) >= len(b):
         shift = len(a) - len(b)
         factor = a[-1] * inv_lead
@@ -323,25 +313,20 @@ def _poly_divmod(a, b, lower):
     return q, a
 
 
-def _poly_mod(a, b, lower):
-    return _poly_divmod(a, b, lower)[1]
-
-
-def _poly_xgcd(a, b, lower):
-    """Extended Euclid over the lower field: returns (g, s, t) with s*a + t*b = g."""
+def _poly_xgcd(a, b, base):
+    """Euclid over the field base: (g, s) with g a trimmed gcd of a and b
+    and s*a = g modulo b."""
     r0, r1 = _poly_trim(list(a)), _poly_trim(list(b))
-    s0, s1 = [lower.one()], []
-    t0, t1 = [], [lower.one()]
+    s0, s1 = [base.one()], []
     while r1:
-        q, r = _poly_divmod(r0, r1, lower)
-        r0, r1 = r1, _poly_trim(r)
-        s0, s1 = s1, _poly_trim(_poly_sub(s0, _poly_mul(q, s1), lower))
-        t0, t1 = t1, _poly_trim(_poly_sub(t0, _poly_mul(q, t1), lower))
-    return r0, s0, t0
+        q, r = _poly_divmod(r0, r1, base)
+        r0, r1 = r1, r
+        s0, s1 = s1, _poly_trim(_poly_sub(s0, _poly_mul(q, s1, base), base))
+    return r0, s0
 
 
-def _poly_sub(a, b, lower):
+def _poly_sub(a, b, base):
     n = max(len(a), len(b))
-    za = a + [lower.zero()] * (n - len(a))
-    zb = b + [lower.zero()] * (n - len(b))
+    za = a + [base.zero()] * (n - len(a))
+    zb = b + [base.zero()] * (n - len(b))
     return [x - y for x, y in zip(za, zb)]

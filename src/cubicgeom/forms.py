@@ -68,15 +68,13 @@ class CayleySalmonForm:
         return (p * q * r).scale(self.lam) + (s * t * u).scale(self.mu) == form
 
 
-def cayley_salmon(surface, lines, pair, planes=None):
-    """Solve F = lam*PQR + mu*STU for the given trihedral pair."""
+def cayley_salmon(surface, pair, planes):
+    """Solve F = lam*PQR + mu*STU for the given trihedral pair; planes maps
+    each tritangent trio to its plane."""
     matrix = inc.trieder_pair_matrix(pair)
     row_trios = [frozenset(row) for row in matrix]
     col_trios = [frozenset(matrix[r][c] for r in range(3)) for c in range(3)]
-    if planes is None:
-        planes = {}
-    six = [planes.get(t) or tritangent_plane(t, lines)
-           for t in row_trios + col_trios]
+    six = [planes[t] for t in row_trios + col_trios]
     forms = [MultiPoly.linear_form(h.coeffs) for h in six]
     pqr = forms[0] * forms[1] * forms[2]
     stu = forms[3] * forms[4] * forms[5]
@@ -230,7 +228,7 @@ def hexahedral_lines(hexform, lines):
     return matched, leftover
 
 
-def cs_from_hexahedral(hexform, surface, planes_by_covector=None):
+def cs_from_hexahedral(hexform, surface):
     """The 10 trihedral decompositions recovered from a hexahedral form.
 
     Each split of {1..6} into two triples turns the identity
@@ -273,17 +271,16 @@ def segre_membership(hexform, points):
     return True
 
 
-def all_hexahedral_forms(surface, lines, planes=None):
+def all_hexahedral_forms(surface, lines, planes):
     """Every hexahedral form from every trihedral pair, with its double-six.
 
     Returns (forms, by_double_six) where forms is a list of
     (pair, HexahedralForm, double_six) triples.
     """
-    planes = planes if planes is not None else tritangent_planes(lines)
     results = []
     by_ds = {}
     for pair in inc.enumerate_trieder_pairs():
-        cs = cayley_salmon(surface, lines, pair, planes)
+        cs = cayley_salmon(surface, pair, planes)
         for hexform in hexahedral_from_cs(cs, surface):
             _, ds = hexahedral_lines(hexform, lines)
             results.append((pair, hexform, ds))

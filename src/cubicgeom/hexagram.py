@@ -195,14 +195,15 @@ def default_screen(center):
     raise DegenerateCenter("no coordinate screen misses the center")
 
 
-def verify_all_pairs(surface, config, lines=None, centers_per_pair=3, seed=0):
-    """Run the projection check for every Cremona pair with sampled centers."""
+def verify_all_pairs(surface, config, lines, seed=0):
+    """Run the projection check for every Cremona pair from three sampled
+    centers off the 27 lines."""
     from .blowup import sample_surface_points
-    avoid = list(lines.values()) if lines else list(config.lines15.values())
+    avoid = list(lines.values())
     reports = []
     for n, pair in enumerate(config.cremona_pairs):
-        centers = sample_surface_points(surface, centers_per_pair,
-                                        seed=seed + n, avoid_lines=avoid)
+        centers = sample_surface_points(surface, 3, seed=seed + n,
+                                        avoid_lines=avoid)
         for center in centers:
             reports.append(project_hexagram(surface, config, pair, center,
                                             default_screen(center)))

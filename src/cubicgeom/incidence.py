@@ -330,9 +330,9 @@ def permutation_preserves_incidence(perm):
     return True
 
 
-def group_closure(generators=None):
+def group_closure():
     """Breadth-first closure; returns the full element list (order 51840)."""
-    gens = generators if generators is not None else group_generators()
+    gens = group_generators()
     identity = tuple(range(27))
     seen = {identity}
     frontier = [identity]
@@ -348,9 +348,9 @@ def group_closure(generators=None):
     return sorted(seen)
 
 
-def orbit_size(start, act, generators=None):
+def orbit_size(start, act):
     """Size of the orbit of `start` under the generated group; act(gen, x) -> y."""
-    gens = generators if generators is not None else group_generators()
+    gens = group_generators()
     seen = {start}
     frontier = [start]
     while frontier:
@@ -402,11 +402,11 @@ def orbit_sizes():
 
 # -- involution census -----------------------------------------------------
 
-def involution_profile(perm, double_sixes, trios=None):
+def involution_profile(perm, double_sixes):
     """(fixed lines, setwise-fixed trios, both-sixes-fixed DS, swapped-six DS)."""
-    trios = trios if trios is not None else TRITANGENT_TRIOS
     fixed_lines = sum(1 for i in range(27) if perm[i] == i)
-    fixed_trios = sum(1 for t in trios if act_on_label_set(perm, t) == t)
+    fixed_trios = sum(1 for t in TRITANGENT_TRIOS
+                      if act_on_label_set(perm, t) == t)
     both = swapped = 0
     for ds in double_sixes:
         s1, s2 = tuple(ds)

@@ -14,7 +14,6 @@ from .multipoly import MultiPoly, monomials, eval_monomial
 from .projgeom import (ProjPoint, ProjPlane, plane_through_line, span_plane,
                        meet_lines)
 from . import incidence as inc
-from .forms import tritangent_planes
 
 
 class NoSolutionError(ValueError):
@@ -246,7 +245,7 @@ def _jacobian_det(basis):
     return _det4([[cols[c][r] for c in range(4)] for r in range(4)])
 
 
-def quadric_web(surface, trio, lines, plane=None):
+def quadric_web(surface, trio, lines, plane):
     """The web of quadrics attached to a tritangent plane.
 
     The basis spans the quadrics through six of the 12 Steinerian nodes (one
@@ -256,9 +255,6 @@ def quadric_web(surface, trio, lines, plane=None):
     (see residual_family_rank), so this 4-dimensional system is the one cut
     by the base-point conditions.
     """
-    if plane is None:
-        from .forms import tritangent_plane
-        plane = tritangent_plane(trio, lines)
     nodes = steinerian_nodes(trio, lines)
     part = desmic_partition(nodes)
     for pairsel in itertools.product(itertools.combinations(range(4), 2),
@@ -294,7 +290,7 @@ def _second_plane(line):
     raise ValueError("line contains all unit points")
 
 
-def residual_family_rank(surface, trio, lines, plane=None):
+def residual_family_rank(surface, trio, lines, plane):
     """The exact dimension of the span of all residual quadrics.
 
     The residual quadric is multilinear in the three pencil members, so the
@@ -302,9 +298,6 @@ def residual_family_rank(surface, trio, lines, plane=None):
     """
     trio_sorted = sorted(trio, key=lambda lab: inc.LABEL_INDEX[lab])
     trio_lines = [lines[lab] for lab in trio_sorted]
-    if plane is None:
-        from .forms import tritangent_plane
-        plane = tritangent_plane(trio, lines)
     others = [_second_plane(l) for l in trio_lines]
 
     def pencil(i, t):
@@ -427,14 +420,12 @@ def _trilinear_quadrics(surface, plane, members):
     return [table[key] for key in itertools.product(range(4), repeat=3)]
 
 
-def six_line_quadric_census(surface, lines, planes=None, trios=None):
+def six_line_quadric_census(surface, planes):
     """For each tritangent plane, the 64 residual quadrics of tritangent
     pencil members, with per-set nonsingular counts and global deduplication."""
-    planes = planes if planes is not None else tritangent_planes(lines)
-    trios = trios if trios is not None else inc.TRITANGENT_TRIOS
     per_set = {}
     membership = {}
-    for trio in trios:
+    for trio in inc.TRITANGENT_TRIOS:
         nonsingular = []
         singular_ranks = []
         for entries in _trilinear_quadrics(surface, planes[trio],

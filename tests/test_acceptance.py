@@ -85,10 +85,10 @@ def test_criterion_02_counts(lines, planes):
                "120 trieder pairs, 40 triads")
 
 
-def test_criterion_03_cayley_salmon(surface, lines, planes):
+def test_criterion_03_cayley_salmon(surface, planes):
     pairs = inc.enumerate_trieder_pairs()[:12]
     for pair in pairs:
-        cs = cayley_salmon(surface, lines, pair, planes)
+        cs = cayley_salmon(surface, pair, planes)
         forms = cs.plane_forms()
         prod1 = forms[0] * forms[1] * forms[2]
         prod2 = forms[3] * forms[4] * forms[5]
@@ -150,7 +150,7 @@ def test_criterion_06_desmic(surface, lines, planes, sorted_trios):
         rows = [_face_product([quartic.nodes[i] for i in t]).coeff_vector(deg4)
                 for t in part]
         assert ExactMatrix(rows).rank() == 2
-    census = six_line_quadric_census(surface, lines, planes)
+    census = six_line_quadric_census(surface, planes)
     per = Counter(len(v["nonsingular"]) for v in census["per_set"].values())
     assert per == Counter({48: 45})
     assert len(census["distinct"]) == 360
@@ -168,8 +168,7 @@ def test_criterion_07_hexagram(surface, lines, hexform):
     config = hexagram_config(hexform, surface, lines)
     assert len(config.cremona_pairs) == 60
     pentahedra(config)
-    reports = verify_all_pairs(surface, config, lines,
-                               centers_per_pair=3, seed=0)
+    reports = verify_all_pairs(surface, config, lines, seed=0)
     assert len(reports) == 180
     for rep in reports:
         coords = [list(p.coords) for p in rep.diagonal_points]

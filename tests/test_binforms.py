@@ -1,6 +1,7 @@
 import pytest
 
 from cubicgeom.field import QQ, rat, is_rational
+from cubicgeom.fixtures import gauss_tower
 from cubicgeom.binforms import (solve_cubic, eval_binary, deflate_binary_form,
                                 MultipleRootError)
 
@@ -64,3 +65,16 @@ def test_deflate_roundtrip():
     # remaining quadratic has roots 2 and -3
     assert eval_binary(rest, rat(2), rat(1)) == 0
     assert eval_binary(rest, rat(-3), rat(1)) == 0
+
+
+def test_irreducible_cubic_over_gauss_builds_degree_six():
+    # t^3 - 2u^3 over Q(i): the root lives in Q(i)(cbrt 2)
+    coeffs = [rat(1), rat(0), rat(0), rat(-2)]
+    gauss = gauss_tower()
+    roots = solve_cubic(coeffs, gauss)
+    assert len(roots) == 1
+    (t, u), tower = roots[0]
+    assert (tower.height, tower.degree) == (2, 6)
+    assert tower.base == gauss
+    assert t * t * t == 2 * u * u * u
+    _check_root(coeffs, roots[0])

@@ -1,6 +1,6 @@
 import pytest
 
-from cubicgeom.field import (QQ, ZeroDivisorError, rat, rat_str,
+from cubicgeom.field import (QQ, FieldTower, ZeroDivisorError, rat, rat_str,
                              is_rational, scalar_from_json)
 
 
@@ -51,3 +51,78 @@ def test_is_rational_predicate():
     tower = QQ.extend([rat(1), rat(0), rat(1)])
     assert is_rational(rat(2))
     assert not is_rational(tower.gen())
+
+
+def _gauss_cbrt2():
+    """Q(i)(t) with t^3 = 2, and its generators i and t."""
+    gauss = QQ.extend([rat(1), rat(0), rat(1)], name="i")
+    tower = gauss.extend([rat(-2), rat(0), rat(0), rat(1)], name="t")
+    return tower, gauss.gen(), tower.gen()
+
+
+def test_height_two_tower_arithmetic():
+    tower, i, t = _gauss_cbrt2()
+    assert (tower.height, tower.degree) == (2, 6)
+    assert t * t * t == 2
+    x = t + i
+    assert x * x.inverse() == tower.one()
+    assert x.inverse() * x == 1
+
+
+def test_expressions_mix_rationals_and_levels():
+    tower, i, t = _gauss_cbrt2()
+    x = rat(1, 2) + i * t - 3
+    assert x.tower is tower
+    assert x - i * t == rat(-5, 2)
+    assert (i + t) - t == i
+    assert i * i * t == -t
+    assert (x + 3) / t == rat(1, 2) / t + i
+    assert (2 * i + t * t) * rat(1, 2) == i + t * t / 2
+
+
+def test_conjugation_on_top_level_over_gauss():
+    gauss = QQ.extend([rat(1), rat(0), rat(1)], name="i")
+    i = gauss.gen()
+    tower = gauss.extend([rat(-2), rat(0), rat(1)], name="s")
+    s = tower.gen()
+    x = i + (1 + i) * s
+    assert x.conjugate() == i - (1 + i) * s
+    assert x.conjugate().conjugate() == x
+    norm = x * x.conjugate()
+    assert norm == i * i - (1 + i) * (1 + i) * 2
+
+
+def test_scalar_json_roundtrip_height_two():
+    tower, i, t = _gauss_cbrt2()
+    x = i + rat(5, 7) * t + i * t * t
+    data = x.to_json()
+    assert data == [["0/1", "1/1"], ["5/7", "0/1"], ["0/1", "1/1"]]
+    assert scalar_from_json(tower, data) == x
+    assert scalar_from_json(tower, "3/4") == rat(3, 4)
+
+
+def test_hash_agrees_across_heights():
+    tower, i, t = _gauss_cbrt2()
+    lifted = tower.embed(i)
+    assert lifted == i
+    assert hash(lifted) == hash(i)
+    assert len({lifted, i}) == 1
+    assert hash(tower.embed(rat(2, 3))) == hash(rat(2, 3))
+
+
+def test_arithmetic_builds_no_tower(monkeypatch):
+    gauss = QQ.extend([rat(1), rat(0), rat(1)], name="i")
+    i = gauss.gen()
+    calls = []
+    init = FieldTower.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FieldTower, "__init__", counting_init)
+    for k in range(1, 20):
+        x = (k + 2 * i) * (rat(1, k) - i) + rat(1, k)
+        assert x * x.inverse() == 1
+        assert (x / (i + k) - x * (i + k).inverse()).is_zero()
+    assert calls == []

@@ -27,9 +27,9 @@ def test_cayley_salmon_identity(surface, first_cs):
     assert prod1.scale(first_cs.lam) + prod2.scale(first_cs.mu) == surface.F
 
 
-def test_cayley_salmon_many_pairs(surface, lines, planes):
+def test_cayley_salmon_many_pairs(surface, planes):
     for pair in inc.enumerate_trieder_pairs()[:12]:
-        cs = cayley_salmon(surface, lines, pair, planes)
+        cs = cayley_salmon(surface, pair, planes)
         assert cs.lam != 0 and cs.mu != 0
 
 

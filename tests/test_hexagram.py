@@ -66,6 +66,5 @@ def test_degenerate_center_rejected(surface, lines, config):
 
 
 def test_all_sixty_pairs_three_centers(surface, lines, config):
-    reports = verify_all_pairs(surface, config, lines,
-                               centers_per_pair=3, seed=0)
+    reports = verify_all_pairs(surface, config, lines, seed=0)
     assert len(reports) == 180

@@ -120,8 +120,8 @@ def test_nodes_come_from_singular_members(web, quartic):
                    for r in range(4))
 
 
-def test_census_counts(surface, lines, planes):
-    census = six_line_quadric_census(surface, lines, planes)
+def test_census_counts(surface, planes):
+    census = six_line_quadric_census(surface, planes)
     per = Counter(len(v["nonsingular"]) for v in census["per_set"].values())
     assert per == Counter({48: 45})
     assert len(census["distinct"]) == 360
@@ -157,8 +157,7 @@ def test_eckardt_input_has_an_eckardt_point(eckardt):
 
 
 def test_census_counts_on_eckardt_surface(eckardt):
-    census = six_line_quadric_census(eckardt.surface, eckardt.lines,
-                                     eckardt.planes)
+    census = six_line_quadric_census(eckardt.surface, eckardt.planes)
     per = Counter(len(v["nonsingular"]) for v in census["per_set"].values())
     assert per == Counter({48: 45})
     assert len(census["distinct"]) == 360
