@@ -1,4 +1,5 @@
-"""Binary forms: root extraction for cubics and exact deflation by known roots.
+"""Binary forms: root extraction for cubics, exact deflation by known roots
+and the degree of a common factor.
 
 A binary form of degree d in (s, t) is held as a coefficient list
 [c_0, ..., c_d] meaning  c_0 s^d + c_1 s^(d-1) t + ... + c_d t^d.
@@ -7,8 +8,7 @@ A projective root (a : b) corresponds to the linear factor  b s - a t.
 
 from __future__ import annotations
 
-from .field import (QQ, rat, is_rational, inverse, _poly_divmod, _poly_trim,
-                    _poly_xgcd)
+from .field import QQ, rat, is_rational, _poly_divmod, _poly_trim, _poly_xgcd
 
 
 class MultipleRootError(ValueError):
@@ -57,24 +57,28 @@ def deflate_binary_form(coeffs, known_roots):
         for _ in range(mult):
             if eval_binary(cur, a, b):
                 raise NotARootError(f"({a} : {b}) is not a root")
-            cur = _deflate_once(cur, a, b)
+            # at t = 1 the factor b s - a t is [-a, b], constant first; for
+            # b = 0 the quotient's top entry is c_0 / -a = 0 and is dropped
+            d = len(cur) - 1
+            cur = _poly_divmod(cur[::-1], [-a, b], QQ)[0][:d][::-1]
     return cur
 
 
-def _deflate_once(coeffs, a, b):
-    """Exact quotient by (b s - a t); the caller guarantees (a : b) is a root."""
-    d = len(coeffs) - 1
-    if b:
-        binv = inverse(b)
-        out = []
-        # c_j = b q_j - a q_{j-1}  =>  q_j = (c_j + a q_{j-1}) / b
-        for j in range(d):
-            prev = out[-1] if out else rat(0)
-            out.append((coeffs[j] + a * prev) * binv)
-        return out
-    # factor is -a t: c_j = -a q_{j-1}, and c_0 = 0 since (1:0) is a root
-    ainv = inverse(a)
-    return [-c * ainv for c in coeffs[1:]]
+def binary_gcd_degree(forms):
+    """Degree of the gcd of binary forms, a common root (1 : 0) counted;
+    zero forms are skipped, and None comes back if every form is zero."""
+    gcd, at_infinity = None, None
+    for coeffs in forms:
+        # constant first in s at t = 1; each trimmed zero is a factor t
+        dense = _poly_trim(list(coeffs[::-1]))
+        if not dense:
+            continue
+        zeros = len(coeffs) - len(dense)
+        gcd = dense if gcd is None else _poly_xgcd(gcd, dense, QQ)[0]
+        at_infinity = zeros if at_infinity is None else min(at_infinity, zeros)
+    if gcd is None:
+        return None
+    return len(gcd) - 1 + at_infinity
 
 
 def _has_repeated_root(dense):

@@ -95,9 +95,7 @@ class CubicSurface:
 
     def restrict_to_line(self, line):
         """F pulled back along the spanning-pair parametrization (binary cubic)."""
-        coords = [MultiPoly(2, {(1, 0): p, (0, 1): q})
-                  for p, q in zip(line.p.coords, line.q.coords)]
-        return self.F.substitute(coords)
+        return self.F.restrict(line.p.coords, line.q.coords)
 
     def contains_line(self, line):
         return self.restrict_to_line(line).is_zero()
@@ -164,9 +162,7 @@ def _line_c(surface, i, j):
     pi, pj = surface.source[i], surface.source[j]
     alphas, betas = [], []
     for cub in surface.basis:
-        coords = [MultiPoly(2, {(1, 0): x, (0, 1): y})
-                  for x, y in zip(pi.coords, pj.coords)]
-        bin3 = binary_from_poly(cub.substitute(coords), 3)
+        bin3 = binary_from_poly(cub.restrict(pi.coords, pj.coords), 3)
         lin = deflate_binary_form(bin3, [((rat(1), rat(0)), 1), ((rat(0), rat(1)), 1)])
         alphas.append(lin[0])
         betas.append(lin[1])

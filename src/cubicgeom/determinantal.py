@@ -8,9 +8,8 @@ import random
 from dataclasses import dataclass
 
 from .field import rat
-from .linalg import ExactMatrix, cross3
-from .multipoly import (MultiPoly, monomials, eval_monomial, common_cubic_factor,
-                        common_factor)
+from .linalg import ExactMatrix, cross3, det3, signed_minors
+from .multipoly import MultiPoly, monomials, eval_monomial, coprime_on_a_line
 from .projgeom import ProjPoint
 
 
@@ -31,19 +30,7 @@ class DeterminantalRep:
     cs: object            # the underlying trihedral decomposition
 
     def det_poly(self):
-        m = self.matrix
-        # cofactor expansion; the zero diagonal kills all but two of the six terms
-        acc = MultiPoly(4)
-        for perm, sign in _PERMS_3:
-            term = MultiPoly.constant(4, sign)
-            for r in range(3):
-                term = term * m[r][perm[r]]
-            acc = acc + term
-        return acc
-
-
-_PERMS_3 = [((0, 1, 2), rat(1)), ((1, 2, 0), rat(1)), ((2, 0, 1), rat(1)),
-            ((0, 2, 1), rat(-1)), ((2, 1, 0), rat(-1)), ((1, 0, 2), rat(-1))]
+        return det3(self.matrix)
 
 
 def det_rep(cs, surface):
@@ -113,26 +100,11 @@ def _lam_var(k):
 
 def grassmann_param(nets):
     """The parametrization gamma: P^2 -> X by signed maximal minors of A(lam)."""
-    gamma = _signed_maximal_minors(nets.a, 3)
+    gamma = signed_minors(nets.a)
     rows = [g.coeff_vector(monomials(3, 3)) for g in gamma]
     if ExactMatrix(rows).rank() != 4:
         raise DegenerateNetsError("parametrization cubics are dependent")
     return gamma
-
-
-def _signed_maximal_minors(mat3x4, nvars):
-    """Kernel covector of a 3x4 matrix of polynomials: v_k = (-1)^k * minor_k."""
-    out = []
-    sign = rat(1)
-    for k in range(4):
-        cols = [c for c in range(4) if c != k]
-        sub = [[mat3x4[r][c] for c in cols] for r in range(3)]
-        det = (sub[0][0] * (sub[1][1] * sub[2][2] - sub[1][2] * sub[2][1])
-               - sub[0][1] * (sub[1][0] * sub[2][2] - sub[1][2] * sub[2][0])
-               + sub[0][2] * (sub[1][0] * sub[2][1] - sub[1][1] * sub[2][0]))
-        out.append(det.scale(sign))
-        sign = -sign
-    return out
 
 
 def param_lands_on_surface(surface, gamma):
@@ -174,7 +146,7 @@ def _stacked_minors(matrix, vertices, shift):
         sum((vertices[(i + shift) % 3][k].scale(coeffs[i][k][l]) for k in range(3)),
             MultiPoly(4))
         for l in range(4)] for i in range(3)]
-    return _signed_maximal_minors(stacked, 4)
+    return signed_minors(stacked)
 
 
 def cubo_cubic(rep):
@@ -185,30 +157,39 @@ def cubo_cubic(rep):
     (quadratic in x).  Pairing vertex lam^(i+1) with net i of the transposed
     system (covector c_i(x)_l = sum_k m_{ki,l} lam^(i+1)_k) gives three planes
     whose intersection point is the image: the signed minors of the stacked
-    3x4 matrix are sextics sharing a cubic factor G, and dividing it out
-    leaves the four cubic components.  On the surface all three vertices
-    collapse onto the kernel of M(x), so the image stays on the surface:
-    the map exchanges the right kernel of M at the source with the left
-    kernel at the image, and the companion map cubo_cubic_inverse undoes it.
+    3x4 matrix are sextics with the common cubic factor
+    G = M[0][1]*M[1][2]*M[2][0], the first trihedron of the Cayley-Salmon
+    form with lam absorbed (see det_rep).  Dividing G out leaves the four
+    cubic components; they are certified coprime, so G is exactly the
+    greatest common factor.  On the surface all three vertices collapse onto
+    the kernel of M(x), so the image stays on the surface: the map exchanges
+    the right kernel of M at the source with the left kernel at the image,
+    and the companion map cubo_cubic_inverse undoes it.
     """
-    g, components = common_cubic_factor(
-        _stacked_minors(list(zip(*rep.matrix)), _vertices(rep.matrix), 1))
-    if g.degree() != 3:
-        raise UnexpectedFactorDegreeError(
-            f"common factor of the minors has degree {g.degree()}, expected 3")
-    if common_factor(components).degree() != 0:
-        raise UnexpectedFactorDegreeError("components share a nontrivial factor")
-    return CuboCubicMap(components, g, rep)
+    m = rep.matrix
+    return _cubic_map(_stacked_minors(list(zip(*m)), _vertices(m), 1),
+                      m[0][1] * m[1][2] * m[2][0], rep)
 
 
 def cubo_cubic_inverse(rep):
-    """The inverse transformation: column vertices paired with the direct nets."""
-    g, components = common_cubic_factor(
-        _stacked_minors(rep.matrix, _vertices(list(zip(*rep.matrix))), 1))
-    if g.degree() != 3:
+    """The inverse transformation: column vertices paired with the direct
+    nets; its factor is the second trihedron M[0][2]*M[1][0]*M[2][1]."""
+    m = rep.matrix
+    return _cubic_map(_stacked_minors(m, _vertices(list(zip(*m))), 1),
+                      m[0][2] * m[1][0] * m[2][1], rep)
+
+
+def _cubic_map(minors, factor, rep):
+    """The map by minors / factor; raises UnexpectedFactorDegreeError unless
+    factor divides every minor and the quotients are proven coprime."""
+    try:
+        components = [f.divide_exact(factor) for f in minors]
+    except ValueError as exc:
         raise UnexpectedFactorDegreeError(
-            f"common factor of the inverse minors has degree {g.degree()}")
-    return CuboCubicMap(components, g, rep)
+            "the trihedron product does not divide the minors") from exc
+    if not coprime_on_a_line(components):
+        raise UnexpectedFactorDegreeError("components share a nontrivial factor")
+    return CuboCubicMap(components, factor, rep)
 
 
 def triangle_minors(rep):
@@ -216,13 +197,13 @@ def triangle_minors(rep):
 
     Pairing each row with its opposite vertex makes every plane satisfy
     c_i(x).x = det M(x), so the resulting sextic map restricts to the
-    identity on the surface — but the four sextics turn out to be coprime
-    (their common factor is a constant), so no cubic map falls out of this
+    identity on the surface — but the four sextics are coprime (a binary gcd
+    on a rational line proves it), so no cubic map falls out of this
     assignment; see cubo_cubic for the assignment that does.  Returns
-    (sextics, common factor degree).
+    (sextics, whether they are proven coprime).
     """
     sextics = _stacked_minors(rep.matrix, _vertices(rep.matrix), 0)
-    return sextics, common_factor(sextics).degree()
+    return sextics, coprime_on_a_line(sextics)
 
 
 def preserves_surface(tmap, surface):

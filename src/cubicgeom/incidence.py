@@ -330,26 +330,9 @@ def permutation_preserves_incidence(perm):
     return True
 
 
-def group_closure():
-    """Breadth-first closure; returns the full element list (order 51840)."""
-    gens = group_generators()
-    identity = tuple(range(27))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = compose(g, p)
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return sorted(seen)
-
-
-def orbit_size(start, act):
-    """Size of the orbit of `start` under the generated group; act(gen, x) -> y."""
+def _orbit(start, act):
+    """The orbit of `start` under the generated group, breadth first;
+    act(gen, x) -> y."""
     gens = group_generators()
     seen = {start}
     frontier = [start]
@@ -362,7 +345,12 @@ def orbit_size(start, act):
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
-    return len(seen)
+    return seen
+
+
+def group_closure():
+    """The full element list (order 51840): the orbit of the identity."""
+    return sorted(_orbit(tuple(range(27)), compose))
 
 
 def act_on_label_set(perm, labels):
@@ -393,10 +381,10 @@ def orbit_sizes():
     trio0 = TRITANGENT_TRIOS[0]
     triad0 = enumerate_triads()[0]
     return {
-        "lines": orbit_size(line0, lambda g, x: ALL_LABELS[g[LABEL_INDEX[x]]]),
-        "double_sixes": orbit_size(ds0, act_on_double_six),
-        "tritangents": orbit_size(trio0, act_on_label_set),
-        "triads": orbit_size(triad0, act_on_triad),
+        "lines": len(_orbit(line0, lambda g, x: ALL_LABELS[g[LABEL_INDEX[x]]])),
+        "double_sixes": len(_orbit(ds0, act_on_double_six)),
+        "tritangents": len(_orbit(trio0, act_on_label_set)),
+        "triads": len(_orbit(triad0, act_on_triad)),
     }
 
 

@@ -111,6 +111,15 @@ def det3(rows):
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
+def signed_minors(rows):
+    """v_k = (-1)^k * (the minor of a 3x4 matrix without column k): a vector
+    every row annihilates, zero exactly when the rank is below 3.  Entries
+    may be scalars or polynomials."""
+    minors = [det3([[row[c] for c in range(4) if c != k] for row in rows])
+              for k in range(4)]
+    return [-m if k % 2 else m for k, m in enumerate(minors)]
+
+
 def cross3(u, v):
     return [u[1] * v[2] - u[2] * v[1],
             u[2] * v[0] - u[0] * v[2],

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 
+from .binforms import binary_from_poly, binary_gcd_degree
 from .field import rat, is_rational, inverse
 
 
@@ -65,10 +66,6 @@ class MultiPoly:
 
     def degree(self):
         return max((sum(e) for e in self.terms), default=-1)
-
-    def is_homogeneous(self):
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
@@ -180,6 +177,11 @@ class MultiPoly:
             acc = acc + term
         return acc
 
+    def restrict(self, p, q):
+        """The binary form f(s*p + t*q) in (s, t): f on the line through p and q."""
+        return self.substitute([MultiPoly(2, {(1, 0): a, (0, 1): b})
+                                for a, b in zip(p, q)])
+
     def partial(self, i):
         out = {}
         for e, c in self.terms.items():
@@ -247,78 +249,24 @@ def eval_monomial(expo, coords):
     return acc
 
 
-def poly_content_free(p):
-    """Primitive part over Q: scale so integer coefficients with content 1, positive lead."""
-    if p.is_zero() or any(not is_rational(c) for c in p.terms.values()):
-        return p.monic() if p.terms else p
-    from math import gcd, lcm
-    den = 1
-    for c in p.terms.values():
-        den = lcm(den, int(c.denominator))
-    nums = [int(c.numerator * (den // c.denominator)) for c in p.terms.values()]
-    g = 0
-    for n in nums:
-        g = gcd(g, n)
-    _, lead = p.leading()
-    sign = -1 if lead < 0 else 1
-    return p.scale(rat(sign * den, g))
+# Lines of P^3, each through two rational points, tried in order by
+# coprime_on_a_line.
+CERTIFICATE_LINES = tuple(
+    (tuple(map(rat, p)), tuple(map(rat, q))) for p, q in (
+        ((1, 2, -3, 5), (3, -1, 4, 2)),
+        ((2, 5, 1, -4), (1, -3, 7, 3)),
+        ((5, -2, 3, 1), (4, 1, -6, 7))))
 
 
-def homogeneous_gcd(a, b):
-    """GCD of two homogeneous forms via their minimal-degree syzygy.
+def coprime_on_a_line(forms):
+    """Whether the forms provably share no factor of positive degree.
 
-    A common factor G of degree g is equivalent to a relation a*v = b*u with
-    deg u = deg a - g, deg v = deg b - g; scanning g downward, the first g
-    admitting a nontrivial solution is the gcd degree and u = a/G recovers G.
-    This stays fast where pseudo-remainder sequences blow up.
+    A common factor G restricts to a nonzero binary form of degree deg G on
+    every line where not all the forms vanish, and divides every restriction
+    there; so a trivial binary gcd on one such line proves the forms coprime.
+    False means no line of CERTIFICATE_LINES gave that proof.
     """
-    from .linalg import ExactMatrix
-    if a.is_zero():
-        return poly_content_free(b)
-    if b.is_zero():
-        return poly_content_free(a)
-    if not (a.is_homogeneous() and b.is_homogeneous()):
-        raise ValueError("homogeneous_gcd needs homogeneous forms")
-    da, db = a.degree(), b.degree()
-    for g in range(min(da, db), 0, -1):
-        mons_v = monomials(a.nvars, db - g)
-        mons_u = monomials(a.nvars, da - g)
-        target = monomials(a.nvars, da + db - g)
-        cols = []
-        for m in mons_v:
-            cols.append((a * MultiPoly(a.nvars, {m: rat(1)})).coeff_vector(target))
-        for m in mons_u:
-            cols.append((-b * MultiPoly(a.nvars, {m: rat(1)})).coeff_vector(target))
-        kern = ExactMatrix(list(map(list, zip(*cols)))).kernel_basis()
-        if not kern:
-            continue
-        vec = kern[0]
-        u = MultiPoly(a.nvars, dict(zip(mons_u, vec[len(mons_v):])))
-        return poly_content_free(a.divide_exact(u))
-    return MultiPoly.constant(a.nvars, rat(1))
-
-
-def common_factor(forms):
-    """GCD of several homogeneous forms over Q (primitive)."""
-    forms = list(forms)
-    g = forms[0]
-    for p in forms[1:]:
-        g = homogeneous_gcd(g, p)
-        if g.degree() == 0:
-            break
-    return g
-
-
-def common_cubic_factor(forms):
-    """Split equal-degree forms as (gcd, quotients); gcd may be a unit.
-
-    Verified by exact division: each quotient times the gcd reproduces its form.
-    """
-    degs = {f.degree() for f in forms}
-    if len(degs) != 1:
-        raise ValueError("forms must have equal degree")
-    if any(not f.is_homogeneous() for f in forms):
-        raise ValueError("forms must be homogeneous")
-    g = common_factor(forms)
-    quotients = [f.divide_exact(g) for f in forms]
-    return g, quotients
+    return any(
+        binary_gcd_degree([binary_from_poly(f.restrict(p, q), f.degree())
+                           for f in forms]) == 0
+        for p, q in CERTIFICATE_LINES)

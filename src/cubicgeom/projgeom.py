@@ -8,7 +8,7 @@ the order (01, 02, 03, 12, 13, 23), canonicalized the same way.
 from __future__ import annotations
 
 from .field import rat, inverse, scalar_to_json
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, signed_minors
 
 
 class CollinearError(ValueError):
@@ -131,11 +131,16 @@ class ProjLine:
 
 def span_plane(p1, p2, p3):
     """The plane through three points of P^3; raises CollinearError."""
-    m = ExactMatrix([list(p1.coords), list(p2.coords), list(p3.coords)])
-    if m.rank() < 3:
+    minors = signed_minors([p1.coords, p2.coords, p3.coords])
+    if not any(minors):
         raise CollinearError("points are collinear")
-    kern = m.kernel_basis()
-    return ProjPlane(kern[0])
+    # An exact rational 1 at the last nonzero minor, as in the kernel vector
+    # of the 3x4 matrix: a coordinate plane through points over an extension
+    # keeps a rational coefficient, which is how the reports print it.
+    last = max(k for k, m in enumerate(minors) if m)
+    inv = inverse(minors[last])
+    return ProjPlane([rat(1) if k == last else m * inv
+                      for k, m in enumerate(minors)])
 
 
 def plane_through_line(line, point):

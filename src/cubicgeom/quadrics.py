@@ -9,7 +9,7 @@ import itertools
 from dataclasses import dataclass
 
 from .field import rat, inverse
-from .linalg import ExactMatrix, det3
+from .linalg import ExactMatrix, det3, signed_minors
 from .multipoly import MultiPoly, monomials, eval_monomial
 from .projgeom import (ProjPoint, ProjPlane, plane_through_line, span_plane,
                        meet_lines)
@@ -155,14 +155,6 @@ def _dot(u, v):
     return sum((a * b for a, b in zip(u, v)), rat(0))
 
 
-def _face_covector(rows):
-    """A covector of the plane through three points of P^3, up to scale: the
-    signed 3x3 minors of their coordinate rows, zero if they are collinear."""
-    minors = [det3([[row[c] for c in range(4) if c != m] for row in rows])
-              for m in range(4)]
-    return [-x if m % 2 else x for m, x in enumerate(minors)]
-
-
 def desmic_partition(nodes):
     """The unique split of the 12 nodes into 3 tetrahedra with linearly
     dependent face-plane products (checked over all 5775 partitions).
@@ -177,7 +169,7 @@ def desmic_partition(nodes):
               (rat(2), rat(3), rat(-5), rat(1))]
     faces = {}
     for triple in itertools.combinations(range(12), 3):
-        h = _face_covector([nodes[i].coords for i in triple])
+        h = signed_minors([nodes[i].coords for i in triple])
         faces[triple] = (h, [_dot(h, p) for p in probes])
     tetrads = {}
     for combo in itertools.combinations(range(12), 4):
@@ -240,9 +232,12 @@ class QuadricWeb:
 
 
 def _jacobian_det(basis):
-    """det [S_0 x | S_1 x | S_2 x | S_3 x] for symmetric matrices S_k."""
+    """det [S_0 x | S_1 x | S_2 x | S_3 x] for symmetric matrices S_k, by
+    Laplace expansion along the first row."""
     cols = [[MultiPoly.linear_form(row) for row in b.mat] for b in basis]
-    return _det4([[cols[c][r] for c in range(4)] for r in range(4)])
+    rows = [[cols[c][r] for c in range(4)] for r in range(4)]
+    return sum((a * v for a, v in zip(rows[0], signed_minors(rows[1:]))),
+               MultiPoly(4))
 
 
 def quadric_web(surface, trio, lines, plane):
@@ -340,22 +335,6 @@ def steinerian(surface, web, lines):
             raise NodeVerificationFailedError(f"gradient does not vanish at {node}")
     tetrads = [tuple(nodes[i] for i in t) for t in web.tetrads]
     return SteinerianQuartic(k_form, nodes, web, tetrads)
-
-
-def _det4(m):
-    acc = MultiPoly(4)
-    for perm in itertools.permutations(range(4)):
-        sign = rat(1)
-        p = list(perm)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if p[i] > p[j]:
-                    sign = -sign
-        term = MultiPoly.constant(4, sign)
-        for r in range(4):
-            term = term * m[r][perm[r]]
-        acc = acc + term
-    return acc
 
 
 _UPPER = [(r, c) for r in range(4) for c in range(r, 4)]

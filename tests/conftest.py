@@ -1,13 +1,24 @@
 import pytest
 
 from cubicgeom import incidence as inc
+from cubicgeom.blowup import SixPoints
 from cubicgeom.cli import Session
+from cubicgeom.field import rat
 from cubicgeom.fixtures import fixture_points
+
+# Nonsingular, with three lines through (1:-4:7:-5): an Eckardt point.
+ECKARDT_COORDS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3),
+                  (1, 3, -2)]
 
 
 @pytest.fixture(scope="session")
 def session():
     return Session(fixture_points())
+
+
+@pytest.fixture(scope="session")
+def eckardt():
+    return Session(SixPoints([[rat(x) for x in p] for p in ECKARDT_COORDS]))
 
 
 @pytest.fixture(scope="session")

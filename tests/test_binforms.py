@@ -3,7 +3,7 @@ import pytest
 from cubicgeom.field import QQ, rat, is_rational
 from cubicgeom.fixtures import gauss_tower
 from cubicgeom.binforms import (solve_cubic, eval_binary, deflate_binary_form,
-                                MultipleRootError)
+                                MultipleRootError, NotARootError)
 
 
 def _check_root(coeffs, root):
@@ -65,6 +65,17 @@ def test_deflate_roundtrip():
     # remaining quadratic has roots 2 and -3
     assert eval_binary(rest, rat(2), rat(1)) == 0
     assert eval_binary(rest, rat(-3), rat(1)) == 0
+
+
+def test_deflate_root_at_infinity_over_gauss():
+    # -t (s - i t)(s + 2t): dividing by -t for (1 : 0) and by s - i t for
+    # (i : 1) leaves s + 2t exactly
+    i = gauss_tower().gen()
+    coeffs = [rat(0), rat(-1), i - 2, 2 * i]
+    rest = deflate_binary_form(coeffs, [((rat(1), rat(0)), 1), ((i, rat(1)), 1)])
+    assert rest == [1, 2]
+    with pytest.raises(NotARootError):
+        deflate_binary_form(coeffs, [((rat(1), rat(0)), 2)])
 
 
 def test_irreducible_cubic_over_gauss_builds_degree_six():

@@ -7,7 +7,8 @@ from cubicgeom.determinantal import (grassmann_nets, grassmann_param,
                                      cubo_cubic, cubo_cubic_inverse,
                                      triangle_minors, preserves_surface,
                                      inverts_on_points, fixes_surface_points,
-                                     plane_image_cubic)
+                                     plane_image_cubic, _stacked_minors,
+                                     _vertices)
 from cubicgeom.field import rat
 
 
@@ -55,9 +56,49 @@ def test_plane_maps_to_single_cubic(tmap):
 def test_triangle_assignment_is_coprime_identity(surface, rep):
     # pairing each vertex with its own net gives sextics restricting to the
     # identity on the surface, but they share no common factor
-    sextics, factor_degree = triangle_minors(rep)
-    assert factor_degree == 0
+    sextics, coprime = triangle_minors(rep)
+    assert coprime
     pts = sample_surface_points(surface, 5, seed=1)
     from cubicgeom.determinantal import CuboCubicMap
     sext_map = CuboCubicMap(sextics, None, rep)
     assert fixes_surface_points(sext_map, pts)
+
+
+@pytest.mark.parametrize("name", ["session", "eckardt"])
+def test_factor_is_the_trihedron_product(name, request):
+    # up to a scalar: the trihedra of the Cayley-Salmon form, lam and mu
+    # left out, computed from the plane forms rather than from the matrix
+    rep = request.getfixturevalue(name).rep
+    forms = rep.cs.plane_forms()
+    for tmap, trihedron in ((cubo_cubic(rep), forms[:3]),
+                            (cubo_cubic_inverse(rep), forms[3:])):
+        assert tmap.factor.monic() == (
+            trihedron[0] * trihedron[1] * trihedron[2]).monic()
+        assert all(c.degree() == 3 for c in tmap.components)
+
+
+def _to_sympy(p, gens):
+    import sympy
+    return sympy.Add(*(sympy.Rational(int(c.numerator), int(c.denominator))
+                       * sympy.Mul(*(g ** k for g, k in zip(gens, e)))
+                       for e, c in p.terms.items()))
+
+
+def test_sympy_gcd_oracle(rep):
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("x0:4")
+
+    def gcd(forms):
+        acc = sympy.Integer(0)
+        for f in forms:
+            acc = sympy.gcd(acc, _to_sympy(f, gens))
+        return acc
+
+    m, mt = rep.matrix, list(zip(*rep.matrix))
+    for minors, tmap in ((_stacked_minors(mt, _vertices(m), 1), cubo_cubic(rep)),
+                         (_stacked_minors(m, _vertices(mt), 1),
+                          cubo_cubic_inverse(rep))):
+        ratio = sympy.cancel(gcd(minors) / _to_sympy(tmap.factor, gens))
+        assert ratio.is_number and ratio != 0
+    sextics, _ = triangle_minors(rep)
+    assert gcd(sextics).is_number

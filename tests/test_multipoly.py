@@ -1,8 +1,11 @@
 import pytest
 
+from cubicgeom.binforms import binary_from_poly, binary_gcd_degree
 from cubicgeom.field import rat
-from cubicgeom.multipoly import (MultiPoly, monomials, homogeneous_gcd,
-                                 common_factor, common_cubic_factor)
+from cubicgeom.fixtures import gauss_tower
+from cubicgeom.linalg import signed_minors
+from cubicgeom.multipoly import (MultiPoly, monomials, coprime_on_a_line,
+                                 CERTIFICATE_LINES)
 
 
 def _xyz():
@@ -32,30 +35,57 @@ def test_monomials_grlex_count():
     assert monomials(2, 1) == [(1, 0), (0, 1)]
 
 
-def test_homogeneous_gcd():
-    x, y, z = _xyz()
-    g = x + y
-    a = g * (x - z)
-    b = g * (y + z) * (x + z)
-    got = homogeneous_gcd(a, b)
-    assert got.monic() == g.monic()
+def _xyzw():
+    return [MultiPoly.variable(i, 4) for i in range(4)]
 
 
-def test_common_factor_of_list():
-    x, y, z = _xyz()
-    g = x - y
-    forms = [g * x, g * y, g * (x + z)]
-    assert common_factor(forms).monic() == g.monic()
+def _degree_on(line, forms):
+    p, q = line
+    return binary_gcd_degree([binary_from_poly(f.restrict(p, q), f.degree())
+                              for f in forms])
 
 
-def test_common_cubic_factor_splits():
-    x, y, z = _xyz()
-    g = (x + y) * (y + z) * (x + z)
-    sextics = [g * x * y * z, g * x * x * x, g * (x + y + z) * y * y]
-    factor, quotients = common_cubic_factor(sextics)
-    assert factor.degree() == 3
-    assert all(q.degree() == 3 for q in quotients)
-    assert all(factor * q == s for q, s in zip(quotients, sextics))
+def test_shared_linear_factor_is_not_certified():
+    x, y, z, w = _xyzw()
+    g = x - y + z.scale(rat(2))
+    assert not coprime_on_a_line([g * x, g * y, g * (x + w)])
+    assert coprime_on_a_line([x, y, z + w])
+
+
+def test_factor_shared_at_infinity_on_first_line():
+    # 2x - y vanishes at the first point of the first line, so there it
+    # restricts to a multiple of t: a common root (1 : 0) and no other
+    x, y, z, w = _xyzw()
+    g = x.scale(rat(2)) - y
+    forms = [g * x, g * y, g * z]
+    assert _degree_on(CERTIFICATE_LINES[0], forms) == 1
+    assert not coprime_on_a_line(forms)
+
+
+def test_common_root_on_first_line_is_certified_by_a_later_line():
+    # both planes pass through p + q = (4 : 1 : 1 : 7) of the first line
+    x, y, z, w = _xyzw()
+    forms = [x - y.scale(rat(4)), (y - z) * w]
+    assert _degree_on(CERTIFICATE_LINES[0], forms) == 1
+    assert _degree_on(CERTIFICATE_LINES[1], forms) == 0
+    assert coprime_on_a_line(forms)
+
+
+def test_certificate_over_gauss():
+    i = gauss_tower().gen()
+    x, y, z, w = _xyzw()
+    g = x + y.scale(i)
+    assert not coprime_on_a_line([g * z, g * (w + x.scale(i))])
+    assert coprime_on_a_line([g, x - y.scale(i)])
+
+
+def test_line_inside_every_form_is_skipped():
+    # two planes through the first line: coprime, but both vanish on it
+    p, q = CERTIFICATE_LINES[0]
+    planes = [MultiPoly.linear_form(signed_minors([p, q, r]))
+              for r in ([1, 0, 0, 0], [0, 1, 0, 0])]
+    assert _degree_on(CERTIFICATE_LINES[0], planes) is None
+    assert coprime_on_a_line(planes)
 
 
 def test_substitute_and_gradient():

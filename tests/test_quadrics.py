@@ -4,8 +4,6 @@ from collections import Counter
 import pytest
 
 from cubicgeom import incidence as inc
-from cubicgeom.blowup import SixPoints
-from cubicgeom.cli import Session
 from cubicgeom.field import rat
 from cubicgeom.linalg import ExactMatrix
 from cubicgeom.multipoly import MultiPoly, monomials
@@ -16,11 +14,6 @@ from cubicgeom.quadrics import (QuadricSurface, residual_quadric,
                                 intersection_point_grouping, _face_product,
                                 _pencil_members, _trilinear_quadrics,
                                 _symmetric)
-
-# Nonsingular, with three lines through (1:-4:7:-5): an Eckardt point.
-ECKARDT_COORDS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3),
-                  (1, 3, -2)]
-
 
 @pytest.fixture(scope="module")
 def trio(sorted_trios):
@@ -144,11 +137,6 @@ def test_trilinear_quadrics_are_residual_quadrics(surface, planes,
     for entries, triple in zip(quadrics, triples):
         expected, _ = residual_quadric(surface, plane, list(triple))
         assert QuadricSurface(_symmetric(entries)) == expected
-
-
-@pytest.fixture(scope="module")
-def eckardt():
-    return Session(SixPoints([[rat(x) for x in p] for p in ECKARDT_COORDS]))
 
 
 def test_eckardt_input_has_an_eckardt_point(eckardt):
