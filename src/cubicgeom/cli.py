@@ -292,13 +292,13 @@ def cmd_desmic(args):
     trio0, web0, quartic0 = webs[0]
     per, distinct, mult = _census(s)
     grouping = _grouping(s)
-    rank8 = residual_family_rank(s.surface, trio0, s.lines, s.planes[trio0])
+    rank8 = residual_family_rank(s.surface, trio0, s.planes)
     report = {
         "webs_checked": len(webs),
         "web_dimension": len(web0.basis),
         "residual_family_rank": rank8,
-        "first_trio": "{" + ",".join(inc.label_str(l) for l in sorted(
-            trio0, key=lambda l: inc.LABEL_INDEX[l])) + "}",
+        "first_trio":
+            "{" + ",".join(map(inc.label_str, inc.label_order(trio0))) + "}",
         "steinerian": _poly_json(quartic0.form, monomials(4, 4)),
         "nodes": [n.to_json() for n in quartic0.nodes],
         "tetrads": [list(t) for t in web0.tetrads],

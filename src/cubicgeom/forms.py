@@ -33,7 +33,7 @@ CUBIC_MONOMIALS_P3 = monomials(4, 3)
 
 def tritangent_plane(trio, lines):
     """The common plane of a coplanar trio of lines."""
-    trio = sorted(trio, key=lambda lab: inc.LABEL_INDEX[lab])
+    trio = inc.label_order(trio)
     l1, l2, l3 = (lines[lab] for lab in trio)
     third = l2.p if not l1.contains(l2.p) else l2.q
     plane = span_plane(l1.p, l1.q, third)

@@ -1,10 +1,14 @@
 """Combinatorics of the 27-line incidence structure.
 
 Lines are labeled a_1..a_6, b_1..b_6, c_ij (i < j), encoded as tuples
-('a', i), ('b', i), ('c', i, j).  Everything here is abstract: tritangent
-trios, double-sixes, trihedral pairs, triads, enneahedra, and the
-automorphism group of the incidence relation (the E6 Weyl group), computed
-by explicit closure over generators.
+('a', i), ('b', i), ('c', i, j).  Their model is the Picard lattice
+Pic = I^{1,6} (basis H, E_1..E_6, form diag(1, -1, ..., -1); Manin, *Cubic
+Forms*, ch. IV), and CLASS holds each line's class.  The lattice gives the
+meet rule (classes pairing to 1), the 36 double-sixes (the lines pairing to
+1 and to -1 with a root) and the group generators (reflections in 7 roots).
+Tritangent trios, trihedral pairs, triads and enneahedra are enumerated from
+the trios; the automorphism group of the incidence relation (the E6 Weyl
+group) is computed by explicit closure over the generators.
 """
 
 from __future__ import annotations
@@ -38,24 +42,51 @@ def label_str(lab):
     return f"{lab[0]}{lab[1]}"
 
 
+def label_order(labels):
+    """The labels sorted in ALL_LABELS order."""
+    return sorted(labels, key=LABEL_INDEX.__getitem__)
+
+
+def _trio_key(labels):
+    return sorted(LABEL_INDEX[l] for l in labels)
+
+
+# -- the Picard lattice ----------------------------------------------------
+
+def _vector(h=0, plus=(), minus=()):
+    """h H + sum_{i in plus} E_i - sum_{i in minus} E_i."""
+    return (h,) + tuple((k in plus) - (k in minus) for k in range(1, 7))
+
+
+# a_i = E_i, b_i = 2H - sum_{j != i} E_j, c_ij = H - E_i - E_j
+CLASS = {**{a(i): _vector(plus=(i,)) for i in range(1, 7)},
+         **{b(i): _vector(2, minus=set(range(1, 7)) - {i})
+            for i in range(1, 7)},
+         **{c(i, j): _vector(1, minus=(i, j))
+            for i, j in itertools.combinations(range(1, 7), 2)}}
+_INDEX_OF_CLASS = {CLASS[lab]: k for k, lab in enumerate(ALL_LABELS)}
+
+
+def pairing(u, v):
+    """The intersection form diag(1, -1, ..., -1) on Pic = I^{1,6}."""
+    return u[0] * v[0] - sum(x * y for x, y in zip(u[1:], v[1:]))
+
+
 def meets_rule(l1, l2):
     """Whether two distinct labeled lines meet on the surface."""
     if l1 == l2:
         raise ValueError("labels coincide")
-    k1, k2 = l1[0], l2[0]
-    if k1 > k2:
-        l1, l2, k1, k2 = l2, l1, k2, k1
-    if k1 == "a" and k2 == "a":
-        return False
-    if k1 == "b" and k2 == "b":
-        return False
-    if k1 == "a" and k2 == "b":
-        return l1[1] != l2[1]
-    if k1 == "a" and k2 == "c":
-        return l1[1] in l2[1:]
-    if k1 == "b" and k2 == "c":
-        return l1[1] in l2[1:]
-    return not (set(l1[1:]) & set(l2[1:]))  # c vs c: meet iff disjoint indices
+    return pairing(CLASS[l1], CLASS[l2]) == 1
+
+
+def reflection(r):
+    """The reflection E -> E + (E.r) r in a root r (r.r = -2), as a
+    permutation of the 27 label indices."""
+    out = []
+    for v in map(CLASS.get, ALL_LABELS):
+        k = pairing(v, r)
+        out.append(_INDEX_OF_CLASS[tuple(x + k * y for x, y in zip(v, r))])
+    return tuple(out)
 
 
 def enumerate_tritangents():
@@ -87,51 +118,33 @@ TRITANGENT_TRIOS = enumerate_tritangents()
 TRIO_INDEX = {t: k for k, t in enumerate(TRITANGENT_TRIOS)}
 
 
-@lru_cache(maxsize=1)
-def skew_sixes():
-    """All 72 sixes of pairwise skew lines."""
-    n = 27
-    adj = [[False] * n for _ in range(n)]
-    for x, y in itertools.combinations(range(n), 2):
-        if not meets_rule(ALL_LABELS[x], ALL_LABELS[y]):
-            adj[x][y] = adj[y][x] = True
-    sixes = []
-
-    def grow(chosen, candidates):
-        if len(chosen) == 6:
-            sixes.append(frozenset(ALL_LABELS[k] for k in chosen))
-            return
-        for idx, v in enumerate(candidates):
-            rest = [w for w in candidates[idx + 1:] if adj[v][w]]
-            if len(chosen) + 1 + len(rest) >= 6:
-                grow(chosen + [v], rest)
-
-    grow([], list(range(n)))
-    return sixes
+def trios_through(trio):
+    """For each line of the trio, in label order, the line and the 4 other
+    tritangent trios through it, in TRITANGENT_TRIOS order."""
+    return [(lab, [t for t in TRITANGENT_TRIOS if lab in t and t != trio])
+            for lab in label_order(trio)]
 
 
 @lru_cache(maxsize=1)
 def enumerate_double_sixes():
-    """The 36 double-sixes, each a frozenset of two skew sixes."""
-    sixes = skew_sixes()
+    """The 36 double-sixes, each a frozenset of two skew sixes.
+
+    Each skew pair x, y gives the root r = [x] - [y]; its double-six is the
+    six lines with E.r = 1 against the six with E.r = -1.
+    """
     out = set()
-    for s1, s2 in itertools.combinations(sixes, 2):
-        if s1 & s2:
+    for x, y in itertools.combinations(ALL_LABELS, 2):
+        if meets_rule(x, y):
             continue
-        if _is_double_six(s1, s2):
-            out.add(frozenset({s1, s2}))
+        r = tuple(p - q for p, q in zip(CLASS[x], CLASS[y]))
+        side = {lab: pairing(CLASS[lab], r) for lab in ALL_LABELS}
+        out.add(frozenset(frozenset(l for l in ALL_LABELS if side[l] == e)
+                          for e in (1, -1)))
     return tuple(sorted(out, key=_ds_sort_key))
 
 
-def _is_double_six(s1, s2):
-    for x in s1:
-        if sum(1 for y in s2 if not meets_rule(x, y)) != 1:
-            return False
-    return True
-
-
 def _ds_sort_key(ds):
-    return sorted(sorted(LABEL_INDEX[l] for l in six) for six in ds)
+    return sorted(map(_trio_key, ds))
 
 
 def double_six_family(ds):
@@ -149,8 +162,6 @@ def double_six_family(ds):
 def is_double_six_labels(labels):
     """Whether a 12-label set splits as a double-six; returns it or None."""
     labels = frozenset(labels)
-    if len(labels) != 12:
-        return None
     for ds in enumerate_double_sixes():
         if frozenset().union(*ds) == labels:
             return ds
@@ -193,7 +204,7 @@ def _transversal(rows, cols):
 
 
 def _pair_sort_key(pair):
-    return sorted(sorted(sorted(LABEL_INDEX[l] for l in t) for t in side) for side in pair)
+    return sorted(sorted(map(_trio_key, side)) for side in pair)
 
 
 def pair_lines(pair):
@@ -207,10 +218,6 @@ def trieder_pair_matrix(pair):
     rows = sorted(rows, key=_trio_key)
     cols = sorted(cols, key=_trio_key)
     return [[next(iter(r & s)) for s in cols] for r in rows]
-
-
-def _trio_key(t):
-    return sorted(LABEL_INDEX[l] for l in t)
 
 
 @lru_cache(maxsize=1)
@@ -259,62 +266,14 @@ def enumerate_enneahedra():
 
 # -- automorphism group ----------------------------------------------------
 
-def _index_perm_generator(sigma):
-    """Permutation of the 27 labels induced by sigma on {1..6} (dict i->sigma_i)."""
-    out = [None] * 27
-    for lab in ALL_LABELS:
-        if lab[0] == "c":
-            img = c(sigma[lab[1]], sigma[lab[2]])
-        else:
-            img = (lab[0], sigma[lab[1]])
-        out[LABEL_INDEX[lab]] = LABEL_INDEX[img]
-    return tuple(out)
-
-
-def _ab_swap_generator():
-    out = [None] * 27
-    for lab in ALL_LABELS:
-        if lab[0] == "a":
-            img = b(lab[1])
-        elif lab[0] == "b":
-            img = a(lab[1])
-        else:
-            img = lab
-        out[LABEL_INDEX[lab]] = LABEL_INDEX[img]
-    return tuple(out)
-
-
-def _triple_swap_generator():
-    """The involution attached to the index triple {1,2,3}.
-
-    Swaps a_i with c_jk for {i,j,k} = {1,2,3} and b_m with c_pq for
-    {m,p,q} = {4,5,6}; everything else is fixed.  Together with the index
-    permutations this generates the full symmetry group of the incidence
-    relation (the a/b swap alone only reaches the double-six stabilizer).
-    """
-    mapping = {}
-    for i, jk in ((1, (2, 3)), (2, (1, 3)), (3, (1, 2))):
-        mapping[a(i)] = c(*jk)
-        mapping[c(*jk)] = a(i)
-    for m, pq in ((4, (5, 6)), (5, (4, 6)), (6, (4, 5))):
-        mapping[b(m)] = c(*pq)
-        mapping[c(*pq)] = b(m)
-    out = [None] * 27
-    for lab in ALL_LABELS:
-        img = mapping.get(lab, lab)
-        out[LABEL_INDEX[lab]] = LABEL_INDEX[img]
-    return tuple(out)
-
-
 def group_generators():
-    gens = []
-    for k in range(1, 6):
-        sigma = {i: i for i in range(1, 7)}
-        sigma[k], sigma[k + 1] = k + 1, k
-        gens.append(_index_perm_generator(sigma))
-    gens.append(_ab_swap_generator())
-    gens.append(_triple_swap_generator())
-    return gens
+    """Reflections in E_k - E_{k+1} (k = 1..5; they swap the indices k and
+    k+1), in 2H - sum E_i (a_i <-> b_i) and in H - E_1 - E_2 - E_3 (a_i <->
+    c_jk for {i,j,k} = {1,2,3}, b_m <-> c_pq for {m,p,q} = {4,5,6}).  The
+    last one is needed: the others only reach the double-six stabilizer."""
+    roots = [_vector(plus=(k,), minus=(k + 1,)) for k in range(1, 6)]
+    roots += [_vector(2, minus=range(1, 7)), _vector(1, minus=(1, 2, 3))]
+    return [reflection(r) for r in roots]
 
 
 def compose(p, q):

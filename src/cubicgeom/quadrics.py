@@ -11,8 +11,7 @@ from dataclasses import dataclass
 from .field import rat, inverse
 from .linalg import ExactMatrix, det3, signed_minors
 from .multipoly import MultiPoly, monomials, eval_monomial
-from .projgeom import (ProjPoint, ProjPlane, plane_through_line, span_plane,
-                       meet_lines)
+from .projgeom import ProjPlane, span_plane, meet_lines
 from . import incidence as inc
 
 
@@ -128,13 +127,8 @@ def steinerian_nodes(trio, lines):
     Ordered by trio line, then by the scan order of the other tritangent
     trios; the first four nodes belong to the first line, and so on.
     """
-    nodes = []
-    for lab in sorted(trio, key=lambda l: inc.LABEL_INDEX[l]):
-        for other in inc.TRITANGENT_TRIOS:
-            if lab not in other or other == frozenset(trio):
-                continue
-            m1, m2 = sorted(other - {lab}, key=lambda l: inc.LABEL_INDEX[l])
-            nodes.append(meet_lines(lines[m1], lines[m2]))
+    nodes = [meet_lines(*(lines[m] for m in inc.label_order(other - {lab})))
+             for lab, others in inc.trios_through(trio) for other in others]
     if len(nodes) != 12 or len(set(nodes)) != 12:
         raise NodeVerificationFailedError("expected 12 distinct nodes")
     return nodes
@@ -275,36 +269,15 @@ def quadric_web(surface, trio, lines, plane):
     raise WrongDimensionError("no admissible base-point selection found")
 
 
-def _second_plane(line):
-    for k in range(4):
-        e = [rat(0)] * 4
-        e[k] = rat(1)
-        pt = ProjPoint(e)
-        if not line.contains(pt):
-            return plane_through_line(line, pt)
-    raise ValueError("line contains all unit points")
+def residual_family_rank(surface, trio, planes):
+    """The exact dimension of the span of all residual quadrics of the plane.
 
-
-def residual_family_rank(surface, trio, lines, plane):
-    """The exact dimension of the span of all residual quadrics.
-
-    The residual quadric is multilinear in the three pencil members, so the
-    span is generated by the 2x2x2 parameter corners; the measured rank is 8.
+    The residual quadric is trilinear in the three pencil members, and the 4
+    tritangent members of each pencil span it, so the 64 census quadrics of
+    the plane span the family; the measured rank is 8.
     """
-    trio_sorted = sorted(trio, key=lambda lab: inc.LABEL_INDEX[lab])
-    trio_lines = [lines[lab] for lab in trio_sorted]
-    others = [_second_plane(l) for l in trio_lines]
-
-    def pencil(i, t):
-        return ProjPlane([a + t * b for a, b in
-                          zip(plane.coeffs, others[i].coeffs)])
-
-    rows = []
-    for t1, t2, t3 in itertools.product((rat(0), rat(1), rat(2)), repeat=3):
-        q, _ = residual_quadric(surface, plane,
-                                [pencil(0, t1), pencil(1, t2), pencil(2, t3)])
-        rows.append(q.coeff_vector())
-    return ExactMatrix(rows).rank()
+    return ExactMatrix(_trilinear_quadrics(
+        surface, planes[trio], _pencil_members(trio, planes))).rank()
 
 
 @dataclass
@@ -358,8 +331,8 @@ def _product_entries(u, v):
 def _pencil_members(trio, planes):
     """For each line of the trio, in label order, the 4 other tritangent
     planes through it."""
-    return [[planes[t] for t in inc.TRITANGENT_TRIOS if lab in t and t != trio]
-            for lab in sorted(trio, key=lambda l: inc.LABEL_INDEX[l])]
+    return [[planes[t] for t in others]
+            for _, others in inc.trios_through(trio)]
 
 
 def _trilinear_quadrics(surface, plane, members):
@@ -435,12 +408,8 @@ def intersection_point_grouping(lines):
     for l1, l2 in itertools.combinations(inc.ALL_LABELS, 2):
         if inc.meets_rule(l1, l2):
             points[frozenset({l1, l2})] = meet_lines(lines[l1], lines[l2])
-    groups = {}
-    for trio in inc.TRITANGENT_TRIOS:
-        members = []
-        for lab in sorted(trio, key=lambda l: inc.LABEL_INDEX[l]):
-            for other in inc.TRITANGENT_TRIOS:
-                if lab in other and other != trio:
-                    members.append(points[other - {lab}])
-        groups[trio] = members
+    groups = {trio: [points[other - {lab}]
+                     for lab, others in inc.trios_through(trio)
+                     for other in others]
+              for trio in inc.TRITANGENT_TRIOS}
     return points, groups

@@ -101,7 +101,8 @@ def test_determinism_two_runs(capsys):
 
 @pytest.mark.parametrize("command", ["construct", "configurations",
                                      "cayley-salmon", "hexahedral",
-                                     "determinantal"])
+                                     "determinantal", "species", "group",
+                                     "desmic"])
 def test_report_matches_golden(capsys, command):
     code, out = _run(capsys, command, "--format", "json", "--seed", "0")
     assert code == 0

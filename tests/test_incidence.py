@@ -1,6 +1,8 @@
 import itertools
 from collections import Counter
 
+import pytest
+
 from cubicgeom import incidence as inc
 
 
@@ -48,6 +50,19 @@ def test_meet_rule_matches_lattice_oracle():
         assert inc.meets_rule(l1, l2) == lattice_meets(l1, l2)
 
 
+def test_classes_match_lattice_oracle():
+    for lab in inc.ALL_LABELS:
+        assert inc.CLASS[lab] == tuple(_lattice_class(lab))
+    for l1, l2 in itertools.product(inc.ALL_LABELS, repeat=2):
+        u, v = _lattice_class(l1), _lattice_class(l2)
+        assert inc.pairing(u, v) == _pairing(u, v)
+
+
+def test_meet_rule_rejects_equal_labels():
+    with pytest.raises(ValueError):
+        inc.meets_rule(inc.a(1), inc.a(1))
+
+
 def test_each_line_meets_ten_others():
     for l1 in inc.ALL_LABELS:
         assert sum(inc.meets_rule(l1, l2)
@@ -77,6 +92,17 @@ def test_double_sixes():
                        for x, y in itertools.combinations(sorted(six), 2))
 
 
+def test_trios_through_each_line():
+    for trio in inc.TRITANGENT_TRIOS:
+        walk = inc.trios_through(trio)
+        assert [lab for lab, _ in walk] == sorted(trio, key=inc.LABEL_INDEX.get)
+        others = [t for _, ts in walk for t in ts]
+        assert [len(ts) for _, ts in walk] == [4, 4, 4]
+        assert len(set(others)) == 12 and trio not in others
+        for lab, ts in walk:
+            assert all(lab in t for t in ts)
+
+
 def test_trieder_pairs_and_triads():
     pairs = inc.enumerate_trieder_pairs()
     assert len(pairs) == 120
@@ -100,6 +126,53 @@ def test_group_closure_and_orbits(group):
 def test_generators_preserve_incidence():
     for g in inc.group_generators():
         assert inc.permutation_preserves_incidence(g)
+
+
+def _swap_perm(pairs):
+    perm = list(range(27))
+    for x, y in pairs:
+        i, j = inc.LABEL_INDEX[x], inc.LABEL_INDEX[y]
+        perm[i], perm[j] = j, i
+    return tuple(perm)
+
+
+def _index_swap(k):
+    """Indices k and k+1 exchanged: a_k <-> a_k+1, b_k <-> b_k+1 and
+    c_kj <-> c_k+1,j for the 4 other j."""
+    return ([(inc.a(k), inc.a(k + 1)), (inc.b(k), inc.b(k + 1))]
+            + [(inc.c(k, j), inc.c(k + 1, j))
+               for j in range(1, 7) if j not in (k, k + 1)])
+
+
+def test_generators_are_the_label_rule_permutations():
+    a, b, c = inc.a, inc.b, inc.c
+    expected = [_index_swap(k) for k in range(1, 6)]
+    expected.append([(a(i), b(i)) for i in range(1, 7)])
+    expected.append([(a(1), c(2, 3)), (a(2), c(1, 3)), (a(3), c(1, 2)),
+                     (b(4), c(5, 6)), (b(5), c(4, 6)), (b(6), c(4, 5))])
+    assert _index_swap(1)[2:] == [(c(1, 3), c(2, 3)), (c(1, 4), c(2, 4)),
+                                  (c(1, 5), c(2, 5)), (c(1, 6), c(2, 6))]
+    assert inc.group_generators() == [_swap_perm(p) for p in expected]
+
+
+def test_root_reflections_swap_the_sixes_of_their_double_six():
+    identity = tuple(range(27))
+    double_sixes = set(inc.enumerate_double_sixes())
+    for x, y in itertools.combinations(inc.ALL_LABELS, 2):
+        if lattice_meets(x, y):
+            continue
+        root = [p - q for p, q in zip(_lattice_class(x), _lattice_class(y))]
+        g = inc.reflection(root)
+        assert inc.compose(g, g) == identity
+        assert inc.permutation_preserves_incidence(g)
+        assert inc.ALL_LABELS[g[inc.LABEL_INDEX[x]]] == y
+        moved = {lab for k, lab in enumerate(inc.ALL_LABELS) if g[k] != k}
+        ds = inc.is_double_six_labels(moved)
+        assert ds in double_sixes
+        s1, s2 = tuple(ds)
+        assert inc.act_on_label_set(g, s1) == s2
+        # each line of a six is skew to exactly one line of the other
+        assert all(sum(not lattice_meets(u, v) for v in s2) == 1 for u in s1)
 
 
 def test_involution_census_profiles(group):

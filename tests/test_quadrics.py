@@ -55,7 +55,7 @@ def test_residual_identity(surface, trio, lines, planes):
 
 
 def test_full_family_spans_eight(surface, trio, lines, planes):
-    assert residual_family_rank(surface, trio, lines, planes[trio]) == 8
+    assert residual_family_rank(surface, trio, planes) == 8
 
 
 def test_twelve_nodes_constructed(surface, trio, lines):
