@@ -1,5 +1,6 @@
-"""Binary forms: root extraction for cubics, exact deflation by known roots
-and the degree of a common factor.
+"""Binary forms: exact deflation by known roots, the degree of a common
+factor, and irreducibility over Q of the small polynomials that define
+extension levels.
 
 A binary form of degree d in (s, t) is held as a coefficient list
 [c_0, ..., c_d] meaning  c_0 s^d + c_1 s^(d-1) t + ... + c_d t^d.
@@ -8,19 +9,11 @@ A projective root (a : b) corresponds to the linear factor  b s - a t.
 
 from __future__ import annotations
 
-from .field import QQ, rat, is_rational, _poly_divmod, _poly_trim, _poly_xgcd
-
-
-class MultipleRootError(ValueError):
-    """The cubic has a repeated root; the construction that needs simple roots stops here."""
+from .field import QQ, rat, _poly_divmod, _poly_trim, _poly_xgcd
 
 
 class NotARootError(ValueError):
     """A claimed root does not annihilate the form."""
-
-
-class IrrationalCoefficientsError(ValueError):
-    """A cubic with a coefficient outside Q: its roots are not computed."""
 
 
 def binary_from_poly(p, degree):
@@ -176,49 +169,3 @@ def _bisect_integer_root(g, lo, hi):
         else:
             hi = mid
     return None
-
-
-def solve_cubic(coeffs, tower=QQ):
-    """Roots of a binary cubic c0 t^3 + c1 t^2 u + c2 t u^2 + c3 u^3.
-
-    Returns a list of ((t, u), tower) pairs, one root per irreducible factor:
-    rational roots stay in the given tower; an irreducible quadratic or cubic
-    factor contributes a single root in a fresh degree-2/3 extension.
-    Raises MultipleRootError on a repeated root, and
-    IrrationalCoefficientsError if a coefficient is not rational.
-    """
-    if len(coeffs) != 4:
-        raise ValueError("expected 4 coefficients")
-    vals = []
-    for c in coeffs:
-        r = c if is_rational(c) else c.as_rational()
-        if r is None:
-            raise IrrationalCoefficientsError(
-                "a coefficient is not rational; roots are only extracted "
-                "from cubics over Q")
-        vals.append(rat(r))
-    if not any(vals):
-        raise ValueError("cubic is identically zero")
-    c0, c1, c2, c3 = vals
-    roots = []
-    # root at infinity (1 : 0) when the t^3 coefficient vanishes
-    if not c0:
-        if not c1:
-            raise MultipleRootError("(1 : 0) is a repeated root")
-        roots.append(((tower.embed(rat(1)), tower.embed(rat(0))), tower))
-    # dehomogenize: p(t) = f(t, 1), coefficients constant-first
-    dense = _poly_trim([c3, c2, c1, c0])
-    if _has_repeated_root(dense):
-        raise MultipleRootError("repeated finite root")
-    rational = _rational_roots(dense)
-    residual = dense
-    for r in rational:
-        roots.append(((tower.embed(r), tower.embed(rat(1))), tower))
-        residual = _poly_divmod(residual, [-r, rat(1)], QQ)[0]
-    deg = len(residual) - 1
-    if deg >= 2:
-        lead = residual[-1]
-        minpoly = [c / lead for c in residual]
-        ext = tower.extend(minpoly)
-        roots.append(((ext.gen(), ext.one()), ext))
-    return roots

@@ -115,7 +115,7 @@ class Session:
 
     @cached_property
     def hexforms(self):
-        return hexahedral_from_cs(self.first_cs, self.surface)
+        return hexahedral_from_cs(self.first_cs, self.surface, self.planes)
 
     @property
     def hexform(self):

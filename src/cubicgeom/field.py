@@ -3,8 +3,7 @@
 Rationals are gmpy2.mpq values (fractions.Fraction if gmpy2 is missing).
 Extension elements live in a FieldTower level: a monic defining polynomial
 with coefficients in the level below, its ``base``.  Inputs may stack
-several levels, and solve_cubic over Q(i) adds a cubic level on top (total
-degree 6); the arithmetic works at any height.
+several levels; the arithmetic works at any height.
 """
 
 from __future__ import annotations
@@ -151,15 +150,6 @@ class FieldElement:
 
     def __bool__(self):
         return not self.is_zero()
-
-    def as_rational(self):
-        """The rational value, if this element lies in Q; None otherwise."""
-        head = self.coeffs[0]
-        if any(self.coeffs[i] for i in range(1, len(self.coeffs))):
-            return None
-        if isinstance(head, FieldElement):
-            return head.as_rational()
-        return head
 
     def conjugate(self):
         """theta -> -theta on a degree-2 top level (the defining poly must be even)."""

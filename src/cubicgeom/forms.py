@@ -7,11 +7,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
-from .field import rat, inverse
+from .field import FieldElement, rat, inverse
 from .linalg import ExactMatrix
 from .multipoly import MultiPoly, monomials
-from .binforms import solve_cubic
 from .projgeom import ProjPlane, span_plane, meet_planes
 from . import incidence as inc
 
@@ -91,12 +91,10 @@ def cayley_salmon(surface, pair, planes):
 
 @dataclass
 class HexahedralForm:
-    """Six linear forms with sum 0, one extra relation, and sum of cubes c*F."""
+    """Six linear forms with sum 0, one extra relation, and sum of cubes c*F;
+    the planes x_i + x_j = 0 contain no line of double_six."""
 
-    cs: CayleySalmonForm
-    tower: object
-    root: tuple           # (t, u) in the tower
-    scalars: tuple        # (p, q, r, s, t, u) applied to the six plane forms
+    double_six: frozenset
     x: list               # the six linear MultiPoly forms
     c: object             # sum(x_i^3) = c * F
 
@@ -129,68 +127,60 @@ def _proportional_to_ones(v):
     return all(c == v[0] for c in v)
 
 
-def hexahedral_from_cs(cs, surface):
-    """All Cremona hexahedral forms attached to one trihedral decomposition.
-
-    The six plane forms (with lam, mu absorbed) are rescaled by (p,q,r,s,t,u)
-    so that they sum to zero; that leaves a pencil (t:u), and requiring the
-    sum of cubes to be proportional to F cuts out a binary cubic, one
-    hexahedral form per simple root.  Of the two candidate closure conditions
-    p*q*r = s*t*u and p*q*r = -s*t*u exactly one admits solutions; this is
-    asserted, not assumed.
-    """
-    forms = cs.plane_forms()
-    trio1 = [forms[0].scale(cs.lam), forms[1], forms[2]]
-    trio2 = [forms[3].scale(cs.mu), forms[4], forms[5]]
-    first, second, s_idx = _independent_ordering(trio1, trio2)
-    base = first + [second[s_idx]]
-    rest = [second[k] for k in range(3) if k != s_idx]
-    cols = ExactMatrix(list(zip(*(f.linear_coeffs() for f in base))))
-    abcd = [cols.solve(f.linear_coeffs()) for f in rest]
-    (ca, cb, cc, cd), (da, db, dc, dd) = abcd
-
-    results = []
-    winning_signs = set()
-    for sign in (rat(-1), rat(1)):
-        # p*q*r + sign*s*t*u = 0 with p = -(t*a + u*a'), ..., s = -(t*d + u*d')
-        # reduces to (ta+ua')(tb+ub')(tc+uc') + sign*(td+ud')*t*u = 0
-        cubic = [ca * cb * cc,
-                 ca * cb * dc + (ca * db + da * cb) * cc + sign * cd,
-                 (ca * db + da * cb) * dc + da * db * cc + sign * dd,
-                 da * db * dc]
-        if not any(cubic):
-            continue
-        for (tv, uv), tower in solve_cubic(cubic, surface.tower):
-            scal = (-(tv * ca + uv * da), -(tv * cb + uv * db),
-                    -(tv * cc + uv * dc), -(tv * cd + uv * dd), tv, uv)
-            if not all(scal):
-                continue
-            scaled = [f.scale(s) for f, s in zip(base + rest, scal[:4] + scal[4:])]
-            p1, q1, r1, s1, t1, u1 = scaled
-            x = [q1 + r1 - p1, r1 + p1 - q1, p1 + q1 - r1,
-                 t1 + u1 - s1, u1 + s1 - t1, s1 + t1 - u1]
-            if sum(x, MultiPoly(4)):
-                continue
-            cubes = sum((f * f * f for f in x), MultiPoly(4))
-            c = _ratio(cubes, surface.F)
-            if c is None or not c:
-                continue
-            winning_signs.add(sign)
-            results.append(HexahedralForm(cs, tower, (tv, uv), scal, x, c))
-    if len(winning_signs) != 1:
+@lru_cache(maxsize=36)
+def _double_six_scalars(ds, planes):
+    """Scalars lam_t, up to one common factor, with lam_t * (plane of t) =
+    x_i + x_j for the 15 tritangent trios t off the double-six ds
+    (Cremona, Math. Ann. 13, 1878).  Three of them pass through each of the
+    15 lines off ds, and as sum(x_i) = 0 their scaled covectors sum to zero:
+    a linear system whose solutions form a line.  planes: the 45 planes in
+    TRITANGENT_TRIOS order."""
+    off = frozenset(inc.ALL_LABELS).difference(*ds)
+    trios = [t for t in inc.TRITANGENT_TRIOS if t <= off]
+    covectors = [planes[inc.TRIO_INDEX[t]].coeffs for t in trios]
+    rows = [[cov[k] if lab in t else rat(0) for t, cov in zip(trios, covectors)]
+            for lab in inc.label_order(off) for k in range(4)]
+    kern = ExactMatrix(rows).kernel_basis()
+    if len(kern) != 1:
         raise NoDecompositionError(
-            f"expected exactly one valid closure sign, got {len(winning_signs)}")
-    return results
+            f"plane scalars of a double-six span dimension {len(kern)}")
+    return dict(zip(trios, kern[0]))
 
 
-def _independent_ordering(trio1, trio2):
-    """Pick (P,Q,R) from one trihedron and S from the other, linearly independent."""
-    for first, second in ((trio1, trio2), (trio2, trio1)):
-        for s_idx in range(3):
-            vecs = [f.linear_coeffs() for f in first + [second[s_idx]]]
-            if ExactMatrix(vecs).rank() == 4:
-                return first, second, s_idx
-    raise DependentPlanesError("no independent four among the six planes")
+def hexahedral_from_cs(cs, surface, planes):
+    """The Cremona hexahedral forms of the three double-sixes that share no
+    line with the trihedral pair of cs, sorted by the scalar of T.
+
+    The pair's planes P, Q, R, S, T, U lie among the 15 planes x_i + x_j = 0
+    of each; scaled by _double_six_scalars, with U's scalar 1, they give
+    x_1 = Q + R - P, ..., x_6 = S + T - U.  sum(x_i) = 0 and
+    sum(x_i^3) = c*F with c != 0 are checked, not assumed.
+    """
+    trios = cs.row_trios + cs.col_trios
+    key = tuple(planes[t] for t in inc.TRITANGENT_TRIOS)
+    results = []
+    for ds in inc.enumerate_double_sixes():
+        if inc.pair_lines(cs.pair) & frozenset().union(*ds):
+            continue
+        lam = _double_six_scalars(ds, key)
+        unit = inverse(lam[trios[5]])
+        p, q, r, s, t, u = (f.scale(lam[trio] * unit)
+                            for f, trio in zip(cs.plane_forms(), trios))
+        x = [q + r - p, r + p - q, p + q - r, t + u - s, u + s - t, s + t - u]
+        c = _ratio(sum((f * f * f for f in x), MultiPoly(4)), surface.F)
+        if sum(x, MultiPoly(4)) or not c:
+            raise NoDecompositionError(
+                "the double-six's planes give no hexahedral form")
+        results.append((surface.tower.embed(lam[trios[4]] * unit),
+                        HexahedralForm(ds, x, c)))
+    results.sort(key=lambda item: _scalar_key(item[0]))
+    return [form for _, form in results]
+
+
+def _scalar_key(x):
+    """Rationals in their usual order, tower elements by coefficient list."""
+    return ([k for c in x.coeffs for k in _scalar_key(c)]
+            if isinstance(x, FieldElement) else [x])
 
 
 def _ratio(num, den):
@@ -223,8 +213,9 @@ def hexahedral_lines(hexform, lines):
     if len(set(matched.values())) != 15:
         raise NoDecompositionError("hexahedral axes are not 15 distinct lines")
     leftover = frozenset(inc.ALL_LABELS) - set(matched.values())
-    if not inc.is_double_six_labels(leftover):
-        raise NoDecompositionError("complement of the 15 axes is not a double-six")
+    if leftover != frozenset().union(*hexform.double_six):
+        raise NoDecompositionError(
+            "complement of the 15 axes is not the form's double-six")
     return matched, leftover
 
 
@@ -281,7 +272,7 @@ def all_hexahedral_forms(surface, lines, planes):
     by_ds = {}
     for pair in inc.enumerate_trieder_pairs():
         cs = cayley_salmon(surface, pair, planes)
-        for hexform in hexahedral_from_cs(cs, surface):
+        for hexform in hexahedral_from_cs(cs, surface, planes):
             _, ds = hexahedral_lines(hexform, lines)
             results.append((pair, hexform, ds))
             by_ds.setdefault(ds, []).append(hexform)

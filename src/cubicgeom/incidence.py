@@ -129,17 +129,18 @@ def trios_through(trio):
 def enumerate_double_sixes():
     """The 36 double-sixes, each a frozenset of two skew sixes.
 
-    Each skew pair x, y gives the root r = [x] - [y]; its double-six is the
-    six lines with E.r = 1 against the six with E.r = -1.
+    Each positive root r (E_i - E_j, H - E_i - E_j - E_k or 2H - sum E_i)
+    gives one: the six lines with E.r = 1 against the six with E.r = -1.
     """
-    out = set()
-    for x, y in itertools.combinations(ALL_LABELS, 2):
-        if meets_rule(x, y):
-            continue
-        r = tuple(p - q for p, q in zip(CLASS[x], CLASS[y]))
+    roots = [_vector(plus=(i,), minus=(j,))
+             for i, j in itertools.combinations(range(1, 7), 2)]
+    roots += [_vector(1, minus=t) for t in itertools.combinations(range(1, 7), 3)]
+    roots.append(_vector(2, minus=range(1, 7)))
+    out = []
+    for r in roots:
         side = {lab: pairing(CLASS[lab], r) for lab in ALL_LABELS}
-        out.add(frozenset(frozenset(l for l in ALL_LABELS if side[l] == e)
-                          for e in (1, -1)))
+        out.append(frozenset(frozenset(l for l in ALL_LABELS if side[l] == e)
+                             for e in (1, -1)))
     return tuple(sorted(out, key=_ds_sort_key))
 
 
@@ -266,6 +267,7 @@ def enumerate_enneahedra():
 
 # -- automorphism group ----------------------------------------------------
 
+@lru_cache(maxsize=1)
 def group_generators():
     """Reflections in E_k - E_{k+1} (k = 1..5; they swap the indices k and
     k+1), in 2H - sum E_i (a_i <-> b_i) and in H - E_1 - E_2 - E_3 (a_i <->

@@ -109,8 +109,14 @@ class ProjLine:
         return ProjPoint([s * a + t * b for a, b in zip(self.p.coords, self.q.coords)])
 
     def contains(self, point):
-        m = ExactMatrix([list(self.p.coords), list(self.q.coords), list(point.coords)])
-        return m.rank() == 2
+        """Whether the point lies on the line: the 3x3 minors of the matrix
+        of p, q and x vanish, each p_ij x_k - p_ik x_j + p_jk x_i for
+        i < j < k in Plucker coordinates."""
+        v, x = self.plucker, point.coords
+        return not (v[0] * x[2] - v[1] * x[1] + v[3] * x[0]
+                    or v[0] * x[3] - v[2] * x[1] + v[4] * x[0]
+                    or v[1] * x[3] - v[2] * x[2] + v[5] * x[0]
+                    or v[3] * x[3] - v[4] * x[2] + v[5] * x[1])
 
     def __eq__(self, other):
         return isinstance(other, ProjLine) and self.plucker == other.plucker

@@ -1,4 +1,5 @@
-"""No public function or method of the library goes unused.
+"""No public function or method of the library goes unused, and the README
+names no error class that is gone.
 
 Every public module-level function of src/cubicgeom, and every public method
 of its public classes, must be referenced by name somewhere in src/ or
@@ -6,6 +7,7 @@ tests/ outside its own definition.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -50,3 +52,14 @@ def test_every_public_function_is_referenced():
             if used[node.name] == own:
                 unused.append(f"{path.relative_to(ROOT)}: {qualname}")
     assert not unused, "unreferenced:\n" + "\n".join(unused)
+
+
+def test_readme_names_only_existing_errors():
+    defined = {node.name
+               for path in PACKAGE.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef)}
+    named = set(re.findall(r"\b[A-Z]\w*Error\b",
+                           (ROOT / "README.md").read_text()))
+    assert named, "the README names no error class"
+    assert not named - defined, f"not in cubicgeom: {sorted(named - defined)}"

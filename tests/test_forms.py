@@ -1,5 +1,9 @@
+import pytest
+
 from cubicgeom import incidence as inc
+from cubicgeom.cli import Session
 from cubicgeom.field import rat
+from cubicgeom.fixtures import species_points
 from cubicgeom.multipoly import MultiPoly
 from cubicgeom.forms import (tritangent_plane, cayley_salmon, cs_from_hexahedral,
                              hexahedral_lines, segre_membership)
@@ -63,3 +67,31 @@ def test_segre_membership(surface, hexform):
     from cubicgeom.blowup import sample_surface_points
     pts = sample_surface_points(surface, 5, seed=2)
     assert segre_membership(hexform, pts)
+
+
+def _ratio(form, base):
+    """The scalar c with form = c * base, read off and then checked."""
+    m, lead = base.leading()
+    c = form.coefficient(m) / lead
+    assert base.scale(c) == form
+    return c
+
+
+@pytest.mark.parametrize("which", ["session", "species3", "eckardt"])
+def test_pair_scalars_close_up(request, which):
+    # Oracle from the pencil derivation: scale the pair's planes lam*P, Q, R,
+    # mu*S, T, U by p, ..., u to (x_j + x_k) / 2.  Then
+    # sum(x_i^3) = -24 (pqr lam PQR + stu mu STU) = c (lam PQR + mu STU),
+    # so p*q*r = s*t*u, checked here as an identity.
+    s = (Session(species_points(3)) if which == "species3"
+         else request.getfixturevalue(which))
+    cs = s.first_cs
+    base = cs.plane_forms()
+    base[0], base[3] = base[0].scale(cs.lam), base[3].scale(cs.mu)
+    assert len(s.hexforms) == 3
+    for hexform in s.hexforms:
+        x = hexform.x
+        halves = [(x[j] + x[k]).scale(rat(1, 2))
+                  for j, k in ((1, 2), (0, 2), (0, 1), (4, 5), (3, 5), (3, 4))]
+        p, q, r, s_, t, u = (_ratio(h, f) for h, f in zip(halves, base))
+        assert p * q * r == s_ * t * u

@@ -92,6 +92,28 @@ def test_double_sixes():
                        for x, y in itertools.combinations(sorted(six), 2))
 
 
+def _double_sixes_from_skew_pairs():
+    """Each skew pair x, y gives the root [x] - [y]; its double-six is the six
+    lines pairing to 1 with it against the six pairing to -1."""
+    out = set()
+    for x, y in itertools.combinations(inc.ALL_LABELS, 2):
+        if lattice_meets(x, y):
+            continue
+        r = [p - q for p, q in zip(_lattice_class(x), _lattice_class(y))]
+        side = {lab: _pairing(_lattice_class(lab), r) for lab in inc.ALL_LABELS}
+        out.add(frozenset(frozenset(l for l in inc.ALL_LABELS if side[l] == e)
+                          for e in (1, -1)))
+    return out
+
+
+def test_double_sixes_match_skew_pair_oracle():
+    ds = inc.enumerate_double_sixes()
+    assert len(set(ds)) == 36
+    assert set(ds) == _double_sixes_from_skew_pairs()
+    assert list(ds) == sorted(ds, key=lambda d: sorted(
+        sorted(inc.LABEL_INDEX[l] for l in six) for six in d))
+
+
 def test_trios_through_each_line():
     for trio in inc.TRITANGENT_TRIOS:
         walk = inc.trios_through(trio)

@@ -1,6 +1,10 @@
+import itertools
+import random
+
 import pytest
 
 from cubicgeom.field import rat
+from cubicgeom.fixtures import gauss_tower
 from cubicgeom.projgeom import (ProjPoint, ProjPlane, ProjLine, span_plane,
                                 plane_through_line, meet_planes, meet_lines,
                                 meet_line_plane, lines_meet, plucker_pairing,
@@ -50,3 +54,54 @@ def test_plane_through_line():
     line = ProjLine(_pt(1, 0, 0, 0), _pt(0, 1, 0, 0))
     h = plane_through_line(line, _pt(0, 0, 1, 0))
     assert h == ProjPlane([rat(0), rat(0), rat(0), rat(1)])
+
+
+def _rank(rows):
+    """Rank by plain Gaussian elimination, independent of linalg."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("over", ["Q", "Q(i)"])
+def test_line_contains_matches_rank_oracle(over):
+    rng = random.Random(7)
+    i = gauss_tower().gen() if over == "Q(i)" else rat(0)
+
+    def scalar():
+        return rat(rng.randint(-4, 4)) + rng.randint(-3, 3) * i
+
+    def point():
+        return ProjPoint([scalar() for _ in range(4)])
+
+    seen = set()
+    for _ in range(30):
+        p, q = point(), point()
+        if p == q:
+            continue
+        line = ProjLine(p, q)
+        s, t = scalar(), scalar()
+        on = [a * s + b * t for a, b in zip(p.coords, q.coords)]
+        candidates = [point(), p, q]
+        if any(on):
+            candidates.append(ProjPoint(on))
+        for x in candidates:
+            expected = _rank([p.coords, q.coords, x.coords]) == 2
+            assert line.contains(x) == expected
+            seen.add(expected)
+    # a coordinate line, and points on and off it
+    axis = ProjLine(_pt(1, 0, 0, 0), _pt(0, 1, 0, 0))
+    for coords in itertools.product((0, 1), repeat=4):
+        if any(coords):
+            expected = not coords[2] and not coords[3]
+            assert axis.contains(_pt(*coords)) == expected
+    assert seen == {True, False}
