@@ -368,7 +368,7 @@ def cmd_species(args):
 
 
 def _group():
-    return {"order": len(inc.group_closure()), "orbits": inc.orbit_sizes()}
+    return {"order": inc.group_order(), "orbits": inc.orbit_sizes()}
 
 
 def cmd_group(args):

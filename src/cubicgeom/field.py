@@ -49,6 +49,7 @@ class FieldTower:
     A level above Q holds ``base``, the level below it, and ``modulus``, the
     monic minimal polynomial of its generator as a coefficient list (constant
     first, top coefficient 1) of elements of ``base``.  Q itself has neither.
+    Each level keeps its zero, which pads the elements of the level above.
     """
 
     def __init__(self, base=None, modulus=None, name=None):
@@ -56,15 +57,17 @@ class FieldTower:
         self.modulus = modulus
         if base is None:
             self.height, self.degree, self.names = 0, 1, []
+            self._zero = rat(0)
             return
         if len(modulus) < 3 or modulus[-1] != 1:
             raise ValueError("defining polynomial must be monic of degree >= 2")
         self.height = base.height + 1
         self.degree = base.degree * (len(modulus) - 1)
         self.names = base.names + [name or f"theta{base.height}"]
+        self._zero = FieldElement(self, [])
 
     def zero(self):
-        return self.embed(rat(0))
+        return self._zero
 
     def one(self):
         return self.embed(rat(1))
@@ -129,7 +132,9 @@ class FieldElement:
     The coefficients must already be elements of ``tower.base`` (rationals
     when the base is Q); they are reduced modulo ``tower.modulus`` and padded
     with zeros to exactly deg(modulus) entries.  FieldTower.embed lifts
-    anything else.
+    anything else.  On a level of degree 2, with modulus x^2 + m1 x + m0,
+    products and inverses take closed forms; higher degrees go through the
+    dense polynomial helpers.
     """
 
     __slots__ = ("tower", "coeffs", "_hash")
@@ -140,7 +145,7 @@ class FieldElement:
         deg = len(tower.modulus) - 1
         if len(coeffs) > deg:
             coeffs = _poly_divmod(coeffs, tower.modulus, tower.base)[1]
-        self.coeffs = coeffs + [tower.base.zero()] * (deg - len(coeffs))
+        self.coeffs = coeffs + [tower.base._zero] * (deg - len(coeffs))
         self._hash = None
 
     # -- structure ---------------------------------------------------------
@@ -187,19 +192,33 @@ class FieldElement:
         a, b = pair
         if not isinstance(a, FieldElement):
             return a * b
-        return FieldElement(a.tower, _poly_mul(a.coeffs, b.coeffs, a.tower.base))
+        modulus = a.tower.modulus
+        if len(modulus) != 3:
+            return FieldElement(a.tower, _poly_mul(a.coeffs, b.coeffs, a.tower.base))
+        # (a0 + a1 t)(b0 + b1 t) with t^2 = -m1 t - m0
+        (a0, a1), (b0, b1), (m0, m1) = a.coeffs, b.coeffs, modulus[:2]
+        top = a1 * b1
+        low, high = a0 * b0 - m0 * top, a0 * b1 + a1 * b0
+        return FieldElement(a.tower, [low, high - m1 * top if m1 else high])
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        g, s = _poly_xgcd(self.coeffs, self.tower.modulus, self.tower.base)
-        if len(g) != 1:
+        modulus = self.tower.modulus
+        if len(modulus) == 3:
+            # the conjugate (a0 - m1 a1) - a1 t over the norm
+            (a0, a1), (m0, m1) = self.coeffs, modulus[:2]
+            conj = [a0 - m1 * a1 if m1 else a0, -a1]
+            g = [a0 * conj[0] + m0 * a1 * a1]
+        else:
+            g, conj = _poly_xgcd(self.coeffs, modulus, self.tower.base)
+        if len(g) != 1 or not g[0]:
             raise ZeroDivisorError(
                 f"non-invertible element in {self.tower!r}: modulus is reducible")
         inv_lead = inverse(g[0])
-        return FieldElement(self.tower, [c * inv_lead for c in s])
+        return FieldElement(self.tower, [c * inv_lead for c in conj])
 
     def __truediv__(self, other):
         pair = _coerce_pair(self, other)

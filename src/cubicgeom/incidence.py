@@ -7,13 +7,17 @@ Forms*, ch. IV), and CLASS holds each line's class.  The lattice gives the
 meet rule (classes pairing to 1), the 36 double-sixes (the lines pairing to
 1 and to -1 with a root) and the group generators (reflections in 7 roots).
 Tritangent trios, trihedral pairs, triads and enneahedra are enumerated from
-the trios; the automorphism group of the incidence relation (the E6 Weyl
-group) is computed by explicit closure over the generators.
+the trios.  The automorphism group of the incidence relation (the E6 Weyl
+group, order 51840) is never listed: its order and membership come from a
+Schreier-Sims stabilizer chain over the generators, and its 892 involutions
+are the products of reflections in mutually orthogonal roots.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from functools import lru_cache
 
 
@@ -91,14 +95,10 @@ def reflection(r):
 
 def enumerate_tritangents():
     """The 45 coplanar trios: {a_i, b_j, c_ij} (i != j) and c-trios over partitions."""
-    trios = []
-    for i in range(1, 7):
-        for j in range(1, 7):
-            if i != j:
-                trios.append(frozenset({a(i), b(j), c(i, j)}))
-    for part in partitions_into_pairs(range(1, 7)):
-        trios.append(frozenset(c(i, j) for i, j in part))
-    return trios
+    return ([frozenset({a(i), b(j), c(i, j)})
+             for i in range(1, 7) for j in range(1, 7) if i != j]
+            + [frozenset(c(i, j) for i, j in part)
+               for part in partitions_into_pairs(range(1, 7))])
 
 
 def partitions_into_pairs(items):
@@ -125,23 +125,21 @@ def trios_through(trio):
             for lab in label_order(trio)]
 
 
+# The 36 positive roots (r.r = -2): E_i - E_j, H - E_i - E_j - E_k, 2H - sum E_i
+POSITIVE_ROOTS = (
+    tuple(_vector(plus=(i,), minus=(j,))
+          for i, j in itertools.combinations(range(1, 7), 2))
+    + tuple(_vector(1, minus=t) for t in itertools.combinations(range(1, 7), 3))
+    + (_vector(2, minus=range(1, 7)),))
+
+
 @lru_cache(maxsize=1)
 def enumerate_double_sixes():
-    """The 36 double-sixes, each a frozenset of two skew sixes.
-
-    Each positive root r (E_i - E_j, H - E_i - E_j - E_k or 2H - sum E_i)
-    gives one: the six lines with E.r = 1 against the six with E.r = -1.
-    """
-    roots = [_vector(plus=(i,), minus=(j,))
-             for i, j in itertools.combinations(range(1, 7), 2)]
-    roots += [_vector(1, minus=t) for t in itertools.combinations(range(1, 7), 3)]
-    roots.append(_vector(2, minus=range(1, 7)))
-    out = []
-    for r in roots:
-        side = {lab: pairing(CLASS[lab], r) for lab in ALL_LABELS}
-        out.append(frozenset(frozenset(l for l in ALL_LABELS if side[l] == e)
-                             for e in (1, -1)))
-    return tuple(sorted(out, key=_ds_sort_key))
+    """The 36 double-sixes, each a frozenset of two skew sixes: each positive
+    root r gives the six lines with E.r = 1 against the six with E.r = -1."""
+    return tuple(sorted((frozenset(
+        frozenset(l for l in ALL_LABELS if pairing(CLASS[l], r) == e)
+        for e in (1, -1)) for r in POSITIVE_ROOTS), key=_ds_sort_key))
 
 
 def _ds_sort_key(ds):
@@ -149,59 +147,33 @@ def _ds_sort_key(ds):
 
 
 def double_six_family(ds):
-    """Family per the classical shapes: 1 (a/b), 2 (15 of them), 3 (20 of them)."""
-    kinds = sorted("".join(sorted(l[0] for l in six)) for six in ds)
-    if kinds == ["aaaaaa", "bbbbbb"]:
-        return 1
-    if kinds == ["abcccc", "abcccc"]:
-        return 2
-    if kinds == ["aaaccc", "bbbccc"]:
-        return 3
-    raise ValueError(f"unrecognized double-six shape {kinds}")
-
-
-def is_double_six_labels(labels):
-    """Whether a 12-label set splits as a double-six; returns it or None."""
-    labels = frozenset(labels)
-    for ds in enumerate_double_sixes():
-        if frozenset().union(*ds) == labels:
-            return ds
-    return None
+    """Family by the H-coefficient h of the double-six's root, which is x - y
+    for skew lines x, y of opposite sixes: |h| = 2 gives family 1 (the a/b
+    one), h = 0 family 2 (15 of them) and |h| = 1 family 3 (20 of them)."""
+    six, other = ds
+    x = min(six)
+    y = next(y for y in other if pairing(CLASS[x], CLASS[y]) == 0)
+    return {2: 1, 0: 2, 1: 3}[abs(CLASS[x][0] - CLASS[y][0])]
 
 
 # -- trihedral pairs -------------------------------------------------------
 
-def _disjoint_trio_triples():
-    trios = TRITANGENT_TRIOS
-    for i, t1 in enumerate(trios):
-        for j in range(i + 1, len(trios)):
-            t2 = trios[j]
-            if t1 & t2:
-                continue
-            for k in range(j + 1, len(trios)):
-                t3 = trios[k]
-                if (t1 & t3) or (t2 & t3):
-                    continue
-                yield frozenset({t1, t2, t3})
-
-
 @lru_cache(maxsize=1)
 def enumerate_trieder_pairs():
-    """The 120 trihedral pairs, canonically as {rows, cols} (sets of 3 trios)."""
-    by_lines = {}
-    for triple in _disjoint_trio_triples():
-        lines = frozenset().union(*triple)
-        by_lines.setdefault(lines, []).append(triple)
+    """The 120 trihedral pairs, canonically as {rows, cols} (sets of 3 trios).
+    Two trios without a common line are two rows: each line of one meets one
+    of the other, each meeting pair spans a column, and the third lines of
+    the columns make the third row."""
+    trio_of = {frozenset(p): t for t in TRITANGENT_TRIOS
+               for p in itertools.combinations(t, 2)}
     pairs = set()
-    for lines, triples in by_lines.items():
-        for rows, cols in itertools.combinations(triples, 2):
-            if _transversal(rows, cols):
-                pairs.add(frozenset({rows, cols}))
+    for t1, t2 in itertools.combinations(TRITANGENT_TRIOS, 2):
+        if not t1 & t2:
+            cols = frozenset(trio_of[frozenset((x, y))] for x in t1 for y in t2
+                             if meets_rule(x, y))
+            rows = frozenset({t1, t2, frozenset().union(*cols) - t1 - t2})
+            pairs.add(frozenset({rows, cols}))
     return tuple(sorted(pairs, key=_pair_sort_key))
-
-
-def _transversal(rows, cols):
-    return all(len(r & s) == 1 for r in rows for s in cols)
 
 
 def _pair_sort_key(pair):
@@ -209,34 +181,26 @@ def _pair_sort_key(pair):
 
 
 def pair_lines(pair):
-    side = next(iter(pair))
-    return frozenset().union(*side)
+    return frozenset().union(*next(iter(pair)))
 
 
 def trieder_pair_matrix(pair):
     """A concrete 3x3 matrix of labels (rows x cols), deterministic."""
-    rows, cols = sorted(pair, key=lambda side: sorted(map(_trio_key, side)))
-    rows = sorted(rows, key=_trio_key)
-    cols = sorted(cols, key=_trio_key)
+    rows, cols = (sorted(side, key=_trio_key) for side in
+                  sorted(pair, key=lambda side: sorted(map(_trio_key, side))))
     return [[next(iter(r & s)) for s in cols] for r in rows]
 
 
 @lru_cache(maxsize=1)
 def enumerate_triads():
     """The 40 partitions of the 27 lines into three trihedral pairs."""
-    pairs = enumerate_trieder_pairs()
-    lines_of = {p: pair_lines(p) for p in pairs}
+    by_lines = {pair_lines(p): p for p in enumerate_trieder_pairs()}
     triads = set()
-    for i, p1 in enumerate(pairs):
-        for j in range(i + 1, len(pairs)):
-            p2 = pairs[j]
-            if lines_of[p1] & lines_of[p2]:
-                continue
-            rest = frozenset(ALL_LABELS) - lines_of[p1] - lines_of[p2]
-            for k in range(j + 1, len(pairs)):
-                p3 = pairs[k]
-                if lines_of[p3] == rest:
-                    triads.add(frozenset({p1, p2, p3}))
+    for u, v in itertools.combinations(by_lines, 2):
+        if u.isdisjoint(v):
+            rest = frozenset(ALL_LABELS) - u - v
+            if rest in by_lines:
+                triads.add(frozenset({by_lines[u], by_lines[v], by_lines[rest]}))
     return tuple(sorted(triads, key=lambda tr: sorted(map(_pair_sort_key, tr))))
 
 
@@ -244,25 +208,18 @@ def enumerate_triads():
 
 def enumerate_enneahedra():
     """All exact covers of the 27 lines by 9 tritangent trios."""
-    trios = TRITANGENT_TRIOS
-    containing = {lab: [t for t in trios if lab in t] for lab in ALL_LABELS}
-    solutions = []
-
-    def search(uncovered, chosen):
+    def covers(uncovered):
         if not uncovered:
-            solutions.append(frozenset(chosen))
+            yield []
             return
-        # branch on the line with the fewest usable trios (all must stay inside
-        # the uncovered set); every solution uses exactly one of its trios
-        def usable(lab):
-            return [t for t in containing[lab] if t <= uncovered]
+        # every cover holds exactly one trio through the first uncovered line
+        first = min(uncovered, key=LABEL_INDEX.__getitem__)
+        for t in TRITANGENT_TRIOS:
+            if first in t and t <= uncovered:
+                for rest in covers(uncovered - t):
+                    yield [t] + rest
 
-        best = min(uncovered, key=lambda lab: (len(usable(lab)), LABEL_INDEX[lab]))
-        for t in usable(best):
-            search(uncovered - t, chosen + [t])
-
-    search(frozenset(ALL_LABELS), [])
-    return solutions
+    return [frozenset(cover) for cover in covers(frozenset(ALL_LABELS))]
 
 
 # -- automorphism group ----------------------------------------------------
@@ -284,97 +241,139 @@ def compose(p, q):
 
 
 def permutation_preserves_incidence(perm):
-    for x, y in itertools.combinations(range(27), 2):
-        if meets_rule(ALL_LABELS[x], ALL_LABELS[y]) != \
-                meets_rule(ALL_LABELS[perm[x]], ALL_LABELS[perm[y]]):
-            return False
-    return True
+    return all(meets_rule(ALL_LABELS[x], ALL_LABELS[y])
+               == meets_rule(ALL_LABELS[perm[x]], ALL_LABELS[perm[y]])
+               for x, y in itertools.combinations(range(27), 2))
 
 
-def _orbit(start, act):
-    """The orbit of `start` under the generated group, breadth first;
-    act(gen, x) -> y."""
-    gens = group_generators()
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = act(g, x)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
+def _orbit(start):
+    """The orbit of `start` (anything act takes) under the generated group."""
+    seen, todo = {start}, [start]
+    while todo:
+        x = todo.pop()
+        for g in group_generators():
+            y = act(g, x)
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
     return seen
 
 
-def group_closure():
-    """The full element list (order 51840): the orbit of the identity."""
-    return sorted(_orbit(tuple(range(27)), compose))
+IDENTITY = tuple(range(27))
 
 
-def act_on_label_set(perm, labels):
-    return frozenset(ALL_LABELS[perm[LABEL_INDEX[l]]] for l in labels)
+def _invert(p):
+    return tuple(sorted(range(len(p)), key=p.__getitem__))
 
 
-def act_on_trio_set(perm, trios):
-    return frozenset(act_on_label_set(perm, t) for t in trios)
+def _sift(chain, g, level=0):
+    """g stripped through chain[level:]: the identity exactly for members."""
+    for point, _, transversal in chain[level:]:
+        u = transversal.get(g[point])
+        if u is None:
+            break
+        g = compose(_invert(u), g)
+    return g
 
 
-def act_on_double_six(perm, ds):
-    return frozenset(act_on_label_set(perm, six) for six in ds)
+def _extend(chain, level, g):
+    """Add g, which fixes the first `level` base points, to the strong
+    generators of chain[level] and close its orbit; a Schreier generator
+    that does not sift through the levels below joins the next level."""
+    if level == len(chain):
+        point = next(x for x in range(27) if g[x] != x)
+        chain.append((point, [], {point: IDENTITY}))
+    _, gens, transversal = chain[level]
+    gens.append(g)
+    todo = [(x, g) for x in transversal]
+    while todo:
+        x, s = todo.pop()
+        y, u = s[x], compose(s, transversal[x])
+        if y not in transversal:
+            transversal[y] = u
+            todo.extend((y, t) for t in gens)
+            continue
+        residue = _sift(chain, compose(_invert(transversal[y]), u), level + 1)
+        if residue != IDENTITY:
+            _extend(chain, level + 1, residue)
 
 
-def act_on_pair(perm, pair):
-    return frozenset(act_on_trio_set(perm, side) for side in pair)
+@lru_cache(maxsize=1)
+def stabilizer_chain():
+    """Schreier-Sims chain of the generated group (Sims 1970; Seress,
+    *Permutation Group Algorithms*, 2003): per level, the base point, the
+    strong generators (fixing the base points above) and the transversal,
+    from each orbit point to an element taking the base point there."""
+    chain = []
+    for g in group_generators():
+        if _sift(chain, g) != IDENTITY:
+            _extend(chain, 0, g)
+    return tuple(chain)
 
 
-def act_on_triad(perm, triad):
-    return frozenset(act_on_pair(perm, p) for p in triad)
+def group_order():
+    """The order of the generated group: the product of the orbit lengths."""
+    return math.prod(len(transversal) for _, _, transversal in stabilizer_chain())
+
+
+def is_group_element(perm):
+    """Whether a permutation of the 27 label indices lies in the group."""
+    return _sift(stabilizer_chain(), tuple(perm)) == IDENTITY
+
+
+def act(perm, x):
+    """The image of a label, or of frozensets of labels nested to any depth."""
+    if isinstance(x, frozenset):
+        return frozenset(act(perm, y) for y in x)
+    return ALL_LABELS[perm[LABEL_INDEX[x]]]
 
 
 def orbit_sizes():
     """Orbit sizes on lines, double-sixes, tritangent trios and triads."""
-    line0 = a(1)
-    ds0 = frozenset({frozenset(a(i) for i in range(1, 7)),
-                     frozenset(b(i) for i in range(1, 7))})
-    trio0 = TRITANGENT_TRIOS[0]
-    triad0 = enumerate_triads()[0]
-    return {
-        "lines": len(_orbit(line0, lambda g, x: ALL_LABELS[g[LABEL_INDEX[x]]])),
-        "double_sixes": len(_orbit(ds0, act_on_double_six)),
-        "tritangents": len(_orbit(trio0, act_on_label_set)),
-        "triads": len(_orbit(triad0, act_on_triad)),
-    }
+    return {name: len(_orbit(x)) for name, x in (
+        ("lines", a(1)), ("double_sixes", enumerate_double_sixes()[0]),
+        ("tritangents", TRITANGENT_TRIOS[0]), ("triads", enumerate_triads()[0]))}
 
 
 # -- involution census -----------------------------------------------------
 
 def involution_profile(perm, double_sixes):
     """(fixed lines, setwise-fixed trios, both-sixes-fixed DS, swapped-six DS)."""
-    fixed_lines = sum(1 for i in range(27) if perm[i] == i)
-    fixed_trios = sum(1 for t in TRITANGENT_TRIOS
-                      if act_on_label_set(perm, t) == t)
+    image_of = dict(zip(ALL_LABELS, map(ALL_LABELS.__getitem__, perm)))
+
+    def image(labels):
+        return frozenset(map(image_of.__getitem__, labels))
+
     both = swapped = 0
-    for ds in double_sixes:
-        s1, s2 = tuple(ds)
-        i1, i2 = act_on_label_set(perm, s1), act_on_label_set(perm, s2)
-        if i1 == s1 and i2 == s2:
-            both += 1
-        elif i1 == s2 and i2 == s1:
-            swapped += 1
-    return (fixed_lines, fixed_trios, both, swapped)
+    for s1, s2 in double_sixes:
+        first = image(s1)
+        if first == s1:
+            both += image(s2) == s2
+        elif first == s2:
+            swapped += image(s2) == s1
+    return (sum(perm[i] == i for i in range(27)),
+            sum(image(t) == t for t in TRITANGENT_TRIOS), both, swapped)
 
 
-def involution_census(group=None):
-    """Histogram of involution profiles over the full group (identity included)."""
-    elements = group if group is not None else group_closure()
+@lru_cache(maxsize=1)
+def involutions():
+    """The 892 involutions of the group, identity included: the products of
+    reflections in sets of mutually orthogonal roots (at most 4 of them;
+    Manin, *Cubic Forms*, ch. IV), each product listed once."""
+    reflections, found = {r: reflection(r) for r in POSITIVE_ROOTS}, set()
+
+    def grow(perm, roots):
+        # roots: those later in the list and orthogonal to every root so far
+        found.add(perm)
+        for k, r in enumerate(roots):
+            grow(compose(reflections[r], perm),
+                 [s for s in roots[k + 1:] if pairing(r, s) == 0])
+
+    grow(IDENTITY, POSITIVE_ROOTS)
+    return tuple(sorted(found))
+
+
+def involution_census():
+    """Histogram of involution profiles over the group (identity included)."""
     double_sixes = enumerate_double_sixes()
-    table = {}
-    for g in elements:
-        if compose(g, g) != tuple(range(27)):
-            continue
-        prof = involution_profile(g, double_sixes)
-        table[prof] = table.get(prof, 0) + 1
-    return table
+    return dict(Counter(involution_profile(g, double_sixes) for g in involutions()))

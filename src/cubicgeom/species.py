@@ -1,6 +1,6 @@
 """Reality classification: the conjugation permutation of the 27 lines and
 the five real species of nonsingular cubic surfaces, plus the abstract
-involution census over the full automorphism group.
+census of the automorphism group's involutions.
 """
 
 from __future__ import annotations
@@ -107,13 +107,13 @@ def real_tritangent_covectors(action, planes):
     return fixed
 
 
-def involution_census(group=None):
+def involution_census():
     """Histogram of (lines, trios, both, swapped) over all involutions.
 
     The five species profiles all occur; additional profiles are reported
     without any realizability claim.
     """
-    return inc.involution_census(group)
+    return inc.involution_census()
 
 
 # double-six pattern per species: (both sixes fixed, sixes swapped)

@@ -63,5 +63,10 @@ def hexform(session):
 
 
 @pytest.fixture(scope="session")
-def group():
-    return inc.group_closure()
+def is_double_six_labels():
+    """Whether a 12-label set splits as a double-six: returns it or None."""
+    def find(labels):
+        labels = frozenset(labels)
+        return next((ds for ds in inc.enumerate_double_sixes()
+                     if frozenset().union(*ds) == labels), None)
+    return find

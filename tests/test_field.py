@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
-from cubicgeom.field import (QQ, FieldTower, ZeroDivisorError, rat, rat_str,
-                             is_rational, scalar_from_json)
+from cubicgeom.field import (QQ, FieldElement, FieldTower, ZeroDivisorError,
+                             rat, rat_str, is_rational, scalar_from_json,
+                             _poly_divmod, _poly_mul, _poly_xgcd)
 
 
 def test_rat_exact():
@@ -126,3 +129,64 @@ def test_arithmetic_builds_no_tower(monkeypatch):
         assert x * x.inverse() == 1
         assert (x / (i + k) - x * (i + k).inverse()).is_zero()
     assert calls == []
+
+
+def _gauss_over_q():
+    return QQ.extend([rat(1), rat(0), rat(1)], name="i")
+
+
+def _gauss_sqrt():
+    """Q(i)(s) with s^2 = 1 + i: a degree-2 level over a degree-2 level."""
+    gauss = _gauss_over_q()
+    return gauss.extend([-1 - gauss.gen(), rat(0), rat(1)])
+
+
+# Q(omega) has modulus x^2 + x + 1, so its m1 terms count.
+QUADRATIC_LEVELS = {
+    "Q(i)": _gauss_over_q,
+    "Q(sqrt2)": lambda: QQ.extend([rat(-2), rat(0), rat(1)]),
+    "Q(omega)": lambda: QQ.extend([rat(1), rat(1), rat(1)]),
+    "Q(i)(s)": _gauss_sqrt,
+}
+
+
+def _draw(rng, tower):
+    if tower is QQ:
+        return rat(rng.randint(-9, 9), rng.randint(1, 6))
+    return FieldElement(tower, [_draw(rng, tower.base), _draw(rng, tower.base)])
+
+
+@pytest.mark.parametrize("level", sorted(QUADRATIC_LEVELS))
+def test_quadratic_closed_forms_match_polynomial_helpers(level):
+    tower = QUADRATIC_LEVELS[level]()
+    base, modulus = tower.base, tower.modulus
+    rng = random.Random(16)
+    for _ in range(40):
+        x, y = _draw(rng, tower), _draw(rng, tower)
+        product = _poly_divmod(_poly_mul(x.coeffs, y.coeffs, base), modulus,
+                               base)[1]
+        assert (x * y).coeffs == FieldElement(tower, product).coeffs
+        if x.is_zero():
+            continue
+        g, s = _poly_xgcd(x.coeffs, modulus, base)
+        assert len(g) == 1
+        inverse = FieldElement(tower, [c / g[0] for c in s])
+        assert x.inverse().coeffs == inverse.coeffs
+        assert x * x.inverse() == 1
+
+
+def test_zero_norm_raises_zero_divisor():
+    # over Q(i), x^2 + 1 = (x - i)(x + i): theta - i has norm 0
+    gauss = _gauss_over_q()
+    tower = gauss.extend([rat(1), rat(0), rat(1)])
+    with pytest.raises(ZeroDivisorError):
+        (tower.gen() - gauss.gen()).inverse()
+
+
+def test_levels_pad_with_one_cached_zero():
+    tower = _gauss_over_q().extend([rat(-2), rat(0), rat(0), rat(1)])
+    assert tower.zero() is tower.zero()
+    assert tower.base.zero() is tower.base.zero()
+    x = tower.embed(rat(3))
+    assert x.coeffs[1] is tower.base.zero() and x.coeffs[2] is tower.base.zero()
+    assert x.coeffs[0].coeffs[1] is QQ.zero()

@@ -50,11 +50,12 @@ def test_hexahedral_identities(surface, hexforms):
         assert hexform.c != 0
 
 
-def test_hexahedral_lines_and_double_six(lines, hexform):
+def test_hexahedral_lines_and_double_six(lines, hexform,
+                                         is_double_six_labels):
     matched, ds = hexahedral_lines(hexform, lines)
     assert len(matched) == 15
     assert len(set(matched.values())) == 15
-    assert inc.is_double_six_labels(ds)
+    assert is_double_six_labels(ds)
 
 
 def test_cs_from_hexahedral_ten_splits(surface, hexform):

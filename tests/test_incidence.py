@@ -1,5 +1,7 @@
 import itertools
+import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -80,6 +82,14 @@ def test_tritangent_trios():
             assert inc.meets_rule(l1, l2)
 
 
+def _family_by_label_shapes(ds):
+    """The classical shapes: a/b (1), {a b c c c c} twice (2), {a a a c c c}
+    against {b b b c c c} (3)."""
+    kinds = sorted("".join(sorted(l[0] for l in six)) for six in ds)
+    return {("aaaaaa", "bbbbbb"): 1, ("abcccc", "abcccc"): 2,
+            ("aaaccc", "bbbccc"): 3}[tuple(kinds)]
+
+
 def test_double_sixes():
     ds = inc.enumerate_double_sixes()
     assert len(ds) == 36
@@ -106,6 +116,11 @@ def _double_sixes_from_skew_pairs():
     return out
 
 
+def test_double_six_family_matches_label_shapes():
+    for d in inc.enumerate_double_sixes():
+        assert inc.double_six_family(d) == _family_by_label_shapes(d)
+
+
 def test_double_sixes_match_skew_pair_oracle():
     ds = inc.enumerate_double_sixes()
     assert len(set(ds)) == 36
@@ -125,9 +140,25 @@ def test_trios_through_each_line():
             assert all(lab in t for t in ts)
 
 
+def _trieder_pairs_by_search():
+    """Every {rows, cols} of two triples of disjoint trios on the same 9
+    lines, each row meeting each column in one line."""
+    trios = inc.TRITANGENT_TRIOS
+    by_lines = {}
+    for triple in itertools.combinations(trios, 3):
+        if all(not s & t for s, t in itertools.combinations(triple, 2)):
+            by_lines.setdefault(frozenset().union(*triple), []).append(
+                frozenset(triple))
+    return {frozenset({rows, cols})
+            for triples in by_lines.values()
+            for rows, cols in itertools.combinations(triples, 2)
+            if all(len(r & s) == 1 for r in rows for s in cols)}
+
+
 def test_trieder_pairs_and_triads():
     pairs = inc.enumerate_trieder_pairs()
     assert len(pairs) == 120
+    assert set(pairs) == _trieder_pairs_by_search()
     assert len(inc.enumerate_triads()) == 40
 
 
@@ -139,8 +170,8 @@ def test_enneahedra():
         assert len(labels) == 27
 
 
-def test_group_closure_and_orbits(group):
-    assert len(group) == 51840
+def test_group_order_and_orbits():
+    assert inc.group_order() == 51840
     assert inc.orbit_sizes() == {"lines": 27, "double_sixes": 36,
                                  "tritangents": 45, "triads": 40}
 
@@ -177,7 +208,8 @@ def test_generators_are_the_label_rule_permutations():
     assert inc.group_generators() == [_swap_perm(p) for p in expected]
 
 
-def test_root_reflections_swap_the_sixes_of_their_double_six():
+def test_root_reflections_swap_the_sixes_of_their_double_six(
+        is_double_six_labels):
     identity = tuple(range(27))
     double_sixes = set(inc.enumerate_double_sixes())
     for x, y in itertools.combinations(inc.ALL_LABELS, 2):
@@ -189,15 +221,51 @@ def test_root_reflections_swap_the_sixes_of_their_double_six():
         assert inc.permutation_preserves_incidence(g)
         assert inc.ALL_LABELS[g[inc.LABEL_INDEX[x]]] == y
         moved = {lab for k, lab in enumerate(inc.ALL_LABELS) if g[k] != k}
-        ds = inc.is_double_six_labels(moved)
+        ds = is_double_six_labels(moved)
         assert ds in double_sixes
         s1, s2 = tuple(ds)
-        assert inc.act_on_label_set(g, s1) == s2
+        assert inc.act(g, s1) == s2
         # each line of a six is skew to exactly one line of the other
         assert all(sum(not lattice_meets(u, v) for v in s2) == 1 for u in s1)
 
 
-def test_involution_census_profiles(group):
-    census = inc.involution_census(group)
+def test_involution_census_profiles():
+    census = inc.involution_census()
     assert {(27, 45, 36, 0), (15, 15, 15, 1), (7, 5, 6, 2),
             (3, 7, 1, 3), (3, 13, 0, 12)} <= set(census)
+
+
+def test_stabilizer_chain_order_and_membership():
+    chain = inc.stabilizer_chain()
+    assert [len(transversal) for _, _, transversal in chain] == [27, 16, 10, 6, 2]
+    assert inc.group_order() == 51840
+    assert all(inc.is_group_element(g) for g in inc.group_generators())
+    assert inc.is_group_element(inc.IDENTITY)
+    # a1 and b1 are skew; swapping them alone breaks the incidence
+    skew = _swap_perm([(inc.a(1), inc.b(1))])
+    assert not lattice_meets(inc.a(1), inc.b(1))
+    assert not inc.permutation_preserves_incidence(skew)
+    assert not inc.is_group_element(skew)
+    # a product of generators is a member, its composite with a
+    # non-member is not
+    g = inc.compose(*inc.group_generators()[:2])
+    assert inc.is_group_element(g)
+    assert not inc.is_group_element(inc.compose(g, skew))
+
+
+def test_root_built_involutions():
+    identity = inc.IDENTITY
+    invs = inc.involutions()
+    assert len(invs) == 892 and len(set(invs)) == 892
+    for g in invs:
+        assert inc.compose(g, g) == identity
+        assert inc.permutation_preserves_incidence(g)
+        assert inc.is_group_element(g)
+
+
+def test_involution_census_equals_golden():
+    golden = json.loads((Path(__file__).parent / "golden" / "species.json")
+                        .read_text())["census"]
+    census = inc.involution_census()
+    assert {str(k): v for k, v in census.items()} == golden
+    assert sum(census.values()) == 892
