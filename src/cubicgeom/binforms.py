@@ -1,19 +1,13 @@
-"""Binary forms: exact deflation by known roots, the degree of a common
-factor, and irreducibility over Q of the small polynomials that define
-extension levels.
+"""Binary forms over Q: the degree of a common factor, and irreducibility
+of the small polynomials that define extension levels.
 
 A binary form of degree d in (s, t) is held as a coefficient list
 [c_0, ..., c_d] meaning  c_0 s^d + c_1 s^(d-1) t + ... + c_d t^d.
-A projective root (a : b) corresponds to the linear factor  b s - a t.
 """
 
 from __future__ import annotations
 
-from .field import QQ, rat, _poly_divmod, _poly_trim, _poly_xgcd
-
-
-class NotARootError(ValueError):
-    """A claimed root does not annihilate the form."""
+from .field import QQ, rat, _poly_trim, _poly_xgcd
 
 
 def binary_from_poly(p, degree):
@@ -23,38 +17,6 @@ def binary_from_poly(p, degree):
     for (i, j), c in p.terms.items():
         out[j] = c
     return out
-
-
-def eval_binary(coeffs, a, b):
-    d = len(coeffs) - 1
-    acc = rat(0)
-    pa = [rat(1)]
-    pb = [rat(1)]
-    for _ in range(d):
-        pa.append(pa[-1] * a)
-        pb.append(pb[-1] * b)
-    for j, c in enumerate(coeffs):
-        if c:
-            acc = acc + c * pa[d - j] * pb[j]
-    return acc
-
-
-def deflate_binary_form(coeffs, known_roots):
-    """Divide out the linear factors of the given roots (with multiplicities).
-
-    known_roots: iterable of ((a, b), multiplicity).  Raises NotARootError if a
-    claimed root fails to annihilate the current quotient.
-    """
-    cur = list(coeffs)
-    for (a, b), mult in known_roots:
-        for _ in range(mult):
-            if eval_binary(cur, a, b):
-                raise NotARootError(f"({a} : {b}) is not a root")
-            # at t = 1 the factor b s - a t is [-a, b], constant first; for
-            # b = 0 the quotient's top entry is c_0 / -a = 0 and is dropped
-            d = len(cur) - 1
-            cur = _poly_divmod(cur[::-1], [-a, b], QQ)[0][:d][::-1]
-    return cur
 
 
 def binary_gcd_degree(forms):

@@ -1,9 +1,12 @@
-"""Cubic surfaces from six general plane points.
+"""Cubic surfaces from six general plane points, by linear algebra.
 
-The surface is the image of P^2 under the net of cubics through the six
-points; the 27 lines come out family by family: a_i from the Jacobian at
-p_i, c_ij from restricting the net to the line p_i p_j, b_i from the conic
-through the other five points.
+The net of plane cubics C_0..C_3 through the six points maps P^2 onto the
+surface.  Its linear syzygies sum_k C_k L_kj = 0, j = 0, 1, 2, make a 3x3
+matrix M(t) of linear forms in t_0..t_3 with M(C(x))^T x = 0, and the
+surface is F = det M (Hilbert-Burch).  The 27 lines follow family by
+family: a_i is the kernel of M(t)^T p_i, c_ij the image of the line
+p_i p_j, and b_i the meet of the planes of the tritangent trios
+{a_j, b_i, c_ij} and {a_k, b_i, c_ik}.
 """
 
 from __future__ import annotations
@@ -11,22 +14,18 @@ from __future__ import annotations
 import itertools
 import random
 
-from .field import QQ, rat
+from .field import QQ, rat, inverse
 from .linalg import ExactMatrix, det3
 from .multipoly import MultiPoly, monomials, eval_monomial
-from .binforms import binary_from_poly, deflate_binary_form
 from . import incidence as inc
-from .projgeom import ProjPoint, ProjLine, lines_meet
+from .projgeom import (ProjPoint, ProjLine, lines_meet, meet_planes,
+                       plane_of_lines)
 
 
 class DegeneratePointsError(ValueError):
     def __init__(self, message, subset=None):
         super().__init__(message)
         self.subset = subset
-
-
-class NonUniqueImplicitError(ValueError):
-    pass
 
 
 class EckardtOrSingularError(ValueError):
@@ -82,12 +81,14 @@ def cubic_net(pts):
 
 
 class CubicSurface:
-    """Exact cubic form F in t_0..t_3 plus its blow-up provenance."""
+    """Exact cubic form F = det M in t_0..t_3, with the net of cubics, the
+    syzygy matrix M and the six points it comes from."""
 
-    def __init__(self, form, basis, source):
+    def __init__(self, form, basis, source, matrix):
         self.F = form
         self.basis = basis
         self.source = source
+        self.matrix = matrix
         self.tower = source.tower
 
     def contains_point(self, point):
@@ -101,156 +102,82 @@ class CubicSurface:
         return self.restrict_to_line(line).is_zero()
 
 
-def implicitize(basis, source):
-    """The cubic F with F(C_0,...,C_3) = 0; unique up to scale."""
-    composed = {}
-    for expo in CUBIC_MONOMIALS_P3:
-        term = MultiPoly.constant(3, rat(1))
-        for cub, k in zip(basis, expo):
-            for _ in range(k):
-                term = term * cub
-        composed[expo] = term
-    deg9 = monomials(3, 9)
-    rows = [[composed[expo].coefficient(m) for expo in CUBIC_MONOMIALS_P3]
-            for m in deg9]
-    kern = ExactMatrix(rows).kernel_basis()
-    if len(kern) != 1:
-        raise NonUniqueImplicitError(
-            f"implicitization kernel has dimension {len(kern)}")
-    form = MultiPoly(4, dict(zip(CUBIC_MONOMIALS_P3, kern[0])))
-    return CubicSurface(form, basis, source)
-
-
 def build_surface(pts):
-    return implicitize(cubic_net(pts), pts)
+    """F = det M, M(t)_ij = sum_k t_k A_ikj for the net's linear syzygies
+    sum_k C_k L_kj = 0 with L_kj = sum_i x_i A_ikj, scaled so that its last
+    nonzero coefficient is 1."""
+    basis = cubic_net(pts)
+    quartics = monomials(3, 4)
+    # column 3k + i holds the coefficients of x_i C_k
+    columns = [(cub * MultiPoly.variable(i, 3)).coeff_vector(quartics)
+               for cub in basis for i in range(3)]
+    kern = ExactMatrix(list(zip(*columns))).kernel_basis()
+    if len(kern) != 3:
+        raise DegeneratePointsError(
+            f"the net has {len(kern)} linear syzygies, expected 3")
+    matrix = [[MultiPoly.linear_form([v[3 * k + i] for k in range(4)])
+               for v in kern] for i in range(3)]
+    det = det3(matrix)
+    if det.is_zero():
+        raise DegeneratePointsError("the syzygy matrix has determinant 0")
+    coeffs = det.coeff_vector(CUBIC_MONOMIALS_P3)
+    last = max(k for k, c in enumerate(coeffs) if c)
+    inv = inverse(coeffs[last])
+    # an exact rational 1 at the last nonzero coefficient, as in a kernel
+    # vector, so that F prints the same over every tower
+    form = MultiPoly(4, {e: rat(1) if k == last else c * inv
+                         for k, (e, c) in enumerate(zip(CUBIC_MONOMIALS_P3, coeffs))})
+    return CubicSurface(form, basis, pts, matrix)
 
 
 # -- the 27 lines ----------------------------------------------------------
 
-def _independent_directions(p):
-    """The first two coordinate directions completing p to a basis of P^2."""
-    dirs = []
-    for k in range(3):
-        e = [rat(0)] * 3
-        e[k] = rat(1)
-        rows = [list(p.coords)] + [list(d) for d in dirs] + [e]
-        if ExactMatrix(rows).rank() == len(rows):
-            dirs.append(e)
-        if len(dirs) == 2:
-            return dirs
-    raise EckardtOrSingularError("no independent directions at the point")
-
-
 def _line_a(surface, i):
-    """Image of the exceptional directions at p_i: span of two Jacobian images."""
-    p = surface.source[i]
-    jac = [[cub.partial(k).evaluate(p.coords) for k in range(3)]
-           for cub in surface.basis]
-    d1, d2 = _independent_directions(p)
-    img1 = [sum((row[k] * d1[k] for k in range(3)), rat(0)) for row in jac]
-    img2 = [sum((row[k] * d2[k] for k in range(3)), rat(0)) for row in jac]
-    if not any(img1) or not any(img2):
-        raise EckardtOrSingularError(f"Jacobian rank too small at point {i}")
-    try:
-        return ProjLine(ProjPoint(img1), ProjPoint(img2))
-    except ValueError as exc:
-        raise EckardtOrSingularError(f"Jacobian rank 1 at point {i}") from exc
+    """The exceptional line over p_i: the points t with M(t)^T p_i = 0."""
+    p = surface.source[i].coords
+    rows = [sum((surface.matrix[r][j] * x for r, x in enumerate(p)),
+                MultiPoly(4)).linear_coeffs() for j in range(3)]
+    kern = ExactMatrix(rows).kernel_basis()
+    if len(kern) != 2:
+        raise EckardtOrSingularError(
+            f"M(t)^T p_{i + 1} = 0 has a kernel of dimension {len(kern)}")
+    return ProjLine(ProjPoint(kern[0]), ProjPoint(kern[1]))
 
 
 def _line_c(surface, i, j):
-    """Image of the line p_i p_j: deflate the restricted binary cubics by s*t."""
-    pi, pj = surface.source[i], surface.source[j]
+    """Image of the line p_i p_j.  Each net cubic restricts to it as
+    f(s, t) = s t (alpha s + beta t), so f(1, 1) = alpha + beta and
+    f(1, 2) = 2 alpha + 4 beta give the line's points alpha and beta."""
+    pi, pj = surface.source[i].coords, surface.source[j].coords
+    at1 = [x + y for x, y in zip(pi, pj)]
+    at2 = [x + y + y for x, y in zip(pi, pj)]
     alphas, betas = [], []
     for cub in surface.basis:
-        bin3 = binary_from_poly(cub.restrict(pi.coords, pj.coords), 3)
-        lin = deflate_binary_form(bin3, [((rat(1), rat(0)), 1), ((rat(0), rat(1)), 1)])
-        alphas.append(lin[0])
-        betas.append(lin[1])
+        f1, f2 = cub.evaluate(at1), cub.evaluate(at2)
+        beta = (f2 - f1 - f1) * rat(1, 2)
+        alphas.append(f1 - beta)
+        betas.append(beta)
     try:
         return ProjLine(ProjPoint(alphas), ProjPoint(betas))
     except ValueError as exc:
         raise EckardtOrSingularError(f"degenerate image of line {i}{j}") from exc
 
 
-def _line_b(surface, i):
-    """Image of the conic through the five points other than p_i."""
-    others = [k for k in range(6) if k != i]
-    conic_monos = monomials(3, 2)
-    rows = [[eval_monomial(e, surface.source[k].coords) for e in conic_monos]
-            for k in others]
-    kern = ExactMatrix(rows).kernel_basis()
-    if len(kern) != 1:
-        raise DegeneratePointsError(f"conic through 5 points not unique ({i})")
-    coeff = dict(zip(conic_monos, kern[0]))
-    s_mat = _conic_matrix(coeff)
-    j0 = others[0]
-    p = surface.source[j0]
-    d1, d2 = _independent_directions(p)
-
-    def sdot(u, v):
-        return sum((u[r] * s_mat[r][c] * v[c] for r in range(3) for c in range(3)),
-                   rat(0))
-
-    # residual intersection of the pencil of lines through p with the conic:
-    # x(s,t) = (d S d) p - 2 (p S d) d,  d = s d1 + t d2
-    s_var = MultiPoly(2, {(1, 0): rat(1)})
-    t_var = MultiPoly(2, {(0, 1): rat(1)})
-    d_polys = [s_var.scale(d1[k]) + t_var.scale(d2[k]) for k in range(3)]
-    dsd = _bilinear_poly(d_polys, s_mat, d_polys)
-    psd = _bilinear_poly([MultiPoly.constant(2, x) for x in p.coords], s_mat, d_polys)
-    x_polys = [dsd.scale(p.coords[k]) - (psd * d_polys[k]).scale(rat(2))
-               for k in range(3)]
-    # five known parameter roots: four through the other points, one tangent
-    roots = []
-    for m in others[1:]:
-        pm = surface.source[m].coords
-        alpha = det3([p.coords, d1, pm])
-        beta = det3([p.coords, d2, pm])
-        roots.append(((-beta, alpha), 1))
-    t_alpha = sdot(p.coords, d1)
-    t_beta = sdot(p.coords, d2)
-    roots.append(((-t_beta, t_alpha), 1))
-    alphas, betas = [], []
-    for cub in surface.basis:
-        sext = binary_from_poly(cub.substitute(x_polys), 6)
-        lin = deflate_binary_form(sext, roots)
-        alphas.append(lin[0])
-        betas.append(lin[1])
-    try:
-        return ProjLine(ProjPoint(alphas), ProjPoint(betas))
-    except ValueError as exc:
-        raise EckardtOrSingularError(f"degenerate image of conic {i}") from exc
-
-
-def _conic_matrix(coeff):
-    half = rat(1, 2)
-    e = {tuple(k): v for k, v in coeff.items()}
-
-    def g(expo):
-        return e.get(expo, rat(0))
-
-    return [[g((2, 0, 0)), g((1, 1, 0)) * half, g((1, 0, 1)) * half],
-            [g((1, 1, 0)) * half, g((0, 2, 0)), g((0, 1, 1)) * half],
-            [g((1, 0, 1)) * half, g((0, 1, 1)) * half, g((0, 0, 2))]]
-
-
-def _bilinear_poly(u_polys, s_mat, v_polys):
-    acc = MultiPoly(2)
-    for r in range(3):
-        for col in range(3):
-            if s_mat[r][col]:
-                acc = acc + (u_polys[r] * v_polys[col]).scale(s_mat[r][col])
-    return acc
+def _line_b(lines, i):
+    """b_i as the meet of the planes of {a_j, c_ij} and {a_k, c_ik}, j and
+    k the first two indices other than i: {a_j, b_i, c_ij} is a trio."""
+    j, k = [m for m in range(1, 7) if m != i][:2]
+    return meet_planes(plane_of_lines(lines[inc.a(j)], lines[inc.c(i, j)]),
+                       plane_of_lines(lines[inc.a(k)], lines[inc.c(i, k)]))
 
 
 def labeled_lines(surface):
     """All 27 lines keyed by their Schlafli labels."""
-    table = {}
-    for i in range(1, 7):
-        table[inc.a(i)] = _line_a(surface, i - 1)
-        table[inc.b(i)] = _line_b(surface, i - 1)
+    table = {inc.a(i): _line_a(surface, i - 1) for i in range(1, 7)}
     for i, j in itertools.combinations(range(1, 7), 2):
         table[inc.c(i, j)] = _line_c(surface, i - 1, j - 1)
+    for i in range(1, 7):
+        table[inc.b(i)] = _line_b(table, i)
     if len(set(table.values())) != 27:
         raise EckardtOrSingularError("line images are not pairwise distinct")
     return table

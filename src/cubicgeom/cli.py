@@ -135,8 +135,8 @@ def cmd_construct(args):
     text += [f"  {m}: {c}" for m, c in sorted(report["surface"].items())]
     text.append("27 lines:")
     for lab in inc.ALL_LABELS:
-        l = s.lines[lab]
-        text.append(f"  {inc.label_str(lab)}: span {l.p.to_json()} {l.q.to_json()}")
+        p, q = s.lines[lab].span()
+        text.append(f"  {inc.label_str(lab)}: span {p.to_json()} {q.to_json()}")
     return report, text
 
 
@@ -199,11 +199,11 @@ def cmd_hexahedral(args):
         return report, text
     matched, ds = hexahedral_lines(s.hexform, s.lines)
     back = cs_from_hexahedral(s.hexform, s.surface)
-    report = {"roots_found": len(s.hexforms), "c": scalar_to_json(s.hexform.c),
+    report = {"forms_found": len(s.hexforms), "c": scalar_to_json(s.hexform.c),
               "lines15": sorted(inc.label_str(l) for l in matched.values()),
               "double_six": sorted(inc.label_str(l) for l in ds),
               "cayley_salmon_splits": len(back)}
-    text = [f"hexahedral roots from first Cayley-Salmon form: {len(s.hexforms)}",
+    text = [f"hexahedral forms from the first Cayley-Salmon form: {len(s.hexforms)}",
             f"sum x_i^3 = c*F with c = {report['c']}",
             "15 lines: " + " ".join(report["lines15"]),
             f"complementary double-six verified; "

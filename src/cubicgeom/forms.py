@@ -12,7 +12,7 @@ from functools import lru_cache
 from .field import FieldElement, rat, inverse
 from .linalg import ExactMatrix
 from .multipoly import MultiPoly, monomials
-from .projgeom import ProjPlane, span_plane, meet_planes
+from .projgeom import ProjPlane, plane_of_lines, meet_planes
 from . import incidence as inc
 
 
@@ -35,8 +35,7 @@ def tritangent_plane(trio, lines):
     """The common plane of a coplanar trio of lines."""
     trio = inc.label_order(trio)
     l1, l2, l3 = (lines[lab] for lab in trio)
-    third = l2.p if not l1.contains(l2.p) else l2.q
-    plane = span_plane(l1.p, l1.q, third)
+    plane = plane_of_lines(l1, l2)
     for line in (l1, l2, l3):
         if not plane.contains_line(line):
             raise NotCoplanarError(f"trio {sorted(map(inc.label_str, trio))} "

@@ -2,7 +2,9 @@
 
 Points and plane covectors are canonicalized so the first nonzero coordinate
 is 1; lines carry a spanning pair of points and a cached Plucker 6-vector in
-the order (01, 02, 03, 12, 13, 23), canonicalized the same way.
+the order (01, 02, 03, 12, 13, 23), canonicalized the same way.  A line
+prints as its Plucker vector and a span that depends on the line alone, not
+on the pair it was built from.
 """
 
 from __future__ import annotations
@@ -130,8 +132,18 @@ class ProjLine:
     def map_coords(self, fn):
         return ProjLine(self.p.map_coords(fn), self.q.map_coords(fn))
 
+    def span(self):
+        """The line's first two distinct meets with the coordinate planes
+        x_k = 0: nonzero columns k of the matrix p q^T - q p^T, whose
+        entries are the Plucker coordinates."""
+        v = self.plucker
+        index = {(0, 1): 0, (0, 2): 1, (0, 3): 2, (1, 2): 3, (1, 3): 4, (2, 3): 5}
+        columns = [[v[index[i, k]] if i < k else -v[index[k, i]] if i > k
+                    else rat(0) for i in range(4)] for k in range(4)]
+        return list(dict.fromkeys(ProjPoint(c) for c in columns if any(c)))[:2]
+
     def to_json(self):
-        return {"span": [self.p.to_json(), self.q.to_json()],
+        return {"span": [x.to_json() for x in self.span()],
                 "plucker": [scalar_to_json(c) for c in self.plucker]}
 
 
@@ -152,6 +164,11 @@ def span_plane(p1, p2, p3):
 def plane_through_line(line, point):
     """The plane spanned by a line and a point off it."""
     return span_plane(line.p, line.q, point)
+
+
+def plane_of_lines(l1, l2):
+    """The plane of two distinct meeting lines."""
+    return plane_through_line(l1, l2.p if not l1.contains(l2.p) else l2.q)
 
 
 def meet_planes(h1, h2):

@@ -4,7 +4,7 @@ from cubicgeom import incidence as inc
 from cubicgeom.blowup import SixPoints
 from cubicgeom.cli import Session
 from cubicgeom.field import rat
-from cubicgeom.fixtures import fixture_points
+from cubicgeom.fixtures import fixture_points, species_points
 
 # Nonsingular, with three lines through (1:-4:7:-5): an Eckardt point.
 ECKARDT_COORDS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3),
@@ -19,6 +19,13 @@ def session():
 @pytest.fixture(scope="session")
 def eckardt():
     return Session(SixPoints([[rat(x) for x in p] for p in ECKARDT_COORDS]))
+
+
+@pytest.fixture(scope="session")
+def species_sessions(session):
+    """The Session of each species fixture k = 1..4, shared by the whole
+    test run; species 1 is the rational fixture."""
+    return {1: session, **{k: Session(species_points(k)) for k in (2, 3, 4)}}
 
 
 @pytest.fixture(scope="session")

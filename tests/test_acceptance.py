@@ -13,13 +13,11 @@ from pathlib import Path
 import pytest
 
 from cubicgeom import incidence as inc
-from cubicgeom.blowup import (build_surface, labeled_lines, incidence_table,
-                              sample_surface_points)
+from cubicgeom.blowup import incidence_table, sample_surface_points
 from cubicgeom.determinantal import (grassmann_nets, grassmann_param,
                                      param_lands_on_surface, cubo_cubic,
                                      cubo_cubic_inverse, preserves_surface,
                                      inverts_on_points, plane_image_cubic)
-from cubicgeom.fixtures import species_points
 from cubicgeom.forms import (cayley_salmon, cs_from_hexahedral,
                              hexahedral_lines, all_hexahedral_forms)
 from cubicgeom.hexagram import hexagram_config, pentahedra, verify_all_pairs
@@ -187,11 +185,11 @@ def test_criterion_08_group():
     _report(8, "stabilizer-chain order 51840 with orbits 27, 36, 45, 40")
 
 
-def test_criterion_09_species():
+def test_criterion_09_species(species_sessions):
     expect = {1: (27, 45), 2: (15, 15), 3: (7, 5), 4: (3, 7)}
     for k in (1, 2, 3, 4):
-        surf = build_surface(species_points(k))
-        rep = classify_species(conjugation_action(surf, labeled_lines(surf)))
+        s = species_sessions[k]
+        rep = classify_species(conjugation_action(s.surface, s.lines))
         assert rep.species == k
         assert (rep.real_lines, rep.real_tritangents) == expect[k]
         assert (rep.ds_both_fixed, rep.ds_swapped) == SPECIES_DS_PATTERN[k]

@@ -5,8 +5,40 @@ import pytest
 from cubicgeom import incidence as inc
 from cubicgeom.field import rat
 from cubicgeom.blowup import (SixPoints, incidence_table,
-                              sample_surface_points, DegeneratePointsError)
+                              sample_surface_points, DegeneratePointsError,
+                              CUBIC_MONOMIALS_P3)
 from cubicgeom.fixtures import fixture_points
+from cubicgeom.linalg import ExactMatrix
+from cubicgeom.multipoly import MultiPoly, monomials, eval_monomial
+from cubicgeom.projgeom import ProjPoint
+
+
+@pytest.fixture(scope="module", params=["fixture", "eckardt", "species2"])
+def any_surface(request, session, eckardt, species_sessions):
+    return {"fixture": session, "eckardt": eckardt,
+            "species2": species_sessions[2]}[request.param].surface
+
+
+def _implicitize(basis):
+    """The cubic F with F(C_0, ..., C_3) = 0 from the 55 x 20 kernel of its
+    degree-9 composition, scaled as a kernel vector: the reference for the
+    library's det M."""
+    composed = [MultiPoly.constant(3, rat(1)) for _ in CUBIC_MONOMIALS_P3]
+    for n, expo in enumerate(CUBIC_MONOMIALS_P3):
+        for cub, k in zip(basis, expo):
+            composed[n] = composed[n] * cub ** k
+    rows = [[c.coefficient(m) for c in composed] for m in monomials(3, 9)]
+    kern = ExactMatrix(rows).kernel_basis()
+    assert len(kern) == 1
+    return MultiPoly(4, dict(zip(CUBIC_MONOMIALS_P3, kern[0])))
+
+
+def test_surface_vanishes_on_the_net(any_surface):
+    assert any_surface.F.substitute(any_surface.basis).is_zero()
+
+
+def test_surface_equals_implicitization(any_surface):
+    assert any_surface.F == _implicitize(any_surface.basis)
 
 
 def test_27_distinct_lines_on_surface(surface, lines):
@@ -22,17 +54,51 @@ def test_geometric_incidence_matches_rule(lines):
         assert met == inc.meets_rule(l1, l2)
 
 
+def _image(surface, x):
+    return ProjPoint([cub.evaluate(x) for cub in surface.basis])
+
+
+def _conic_points(five):
+    """Points of the conic through five plane points: the second meets of
+    lines through the first point q, x = C(d) q - (C(q + d) - C(d)) d."""
+    conics = monomials(3, 2)
+    kern = ExactMatrix([[eval_monomial(e, p) for e in conics]
+                        for p in five]).kernel_basis()
+    conic = MultiPoly(3, dict(zip(conics, kern[0])))
+    q = five[0]
+    for d in ([rat(1), rat(2), rat(3)], [rat(2), rat(-1), rat(1)],
+              [rat(-1), rat(3), rat(2)]):
+        cd = conic.evaluate(d)
+        twice_b = conic.evaluate([a + b for a, b in zip(q, d)]) - cd
+        yield [cd * a - twice_b * b for a, b in zip(q, d)]
+
+
 def test_exceptional_lines_through_base_points(surface, lines):
-    # a_i is the exceptional line over p_i: the blown-up image of p_i's
-    # neighborhood; the conic line b_i passes through the images of the
-    # other five points' exceptional data.  Check via incidence instead:
-    # a_i meets exactly b_j (j != i) and c_ij.
-    for i in range(1, 7):
+    # The net's Jacobian at p_i maps the directions at p_i onto a_i, the
+    # conic through the other five points maps onto b_i, and the line
+    # p_i p_j onto c_ij.  The incidence table cannot tell a_i from b_i;
+    # these images can.  By the meet rule, a_i meets exactly the b_j and
+    # c_ij with j != i.
+    pts = [p.coords for p in surface.source]
+    for i in range(6):
         partners = {lab for lab in inc.ALL_LABELS
-                    if lab != inc.a(i) and inc.meets_rule(inc.a(i), lab)}
-        expected = ({inc.b(j) for j in range(1, 7) if j != i}
-                    | {inc.c(i, j) for j in range(1, 7) if j != i})
-        assert partners == expected
+                    if lab != inc.a(i + 1) and inc.meets_rule(inc.a(i + 1), lab)}
+        assert partners == ({inc.b(j) for j in range(1, 7) if j != i + 1}
+                            | {inc.c(i + 1, j) for j in range(1, 7) if j != i + 1})
+        jac = [[cub.partial(k).evaluate(pts[i]) for k in range(3)]
+               for cub in surface.basis]
+        images = {ProjPoint(col) for col in zip(*jac) if any(col)}
+        assert len(images) >= 2
+        assert all(lines[inc.a(i + 1)].contains(x) for x in images)
+        conic = [x for x in _conic_points(pts[:i] + pts[i + 1:])
+                 if any(cub.evaluate(x) for cub in surface.basis)]
+        assert len({_image(surface, x) for x in conic}) >= 2
+        assert all(lines[inc.b(i + 1)].contains(_image(surface, x))
+                   for x in conic)
+        for j in range(i + 1, 6):
+            for t in (rat(-1), rat(3)):
+                x = [a + t * b for a, b in zip(pts[i], pts[j])]
+                assert lines[inc.c(i + 1, j + 1)].contains(_image(surface, x))
 
 
 def test_degenerate_points_rejected():

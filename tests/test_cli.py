@@ -1,4 +1,6 @@
+import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -109,6 +111,42 @@ def test_report_matches_golden(capsys, command):
     assert out == (GOLDEN / f"{command}.json").read_text()
 
 
+def test_construct_golden_keeps_surface_and_pluckers():
+    # The spans of construct.json were regenerated when they became a
+    # function of the line alone.  Its surface and 27 Plucker vectors were
+    # not: this digest was taken before, from the degree-9 implicitization
+    # and the Jacobian and conic constructions of the lines.
+    data = json.loads((GOLDEN / "construct.json").read_text())
+    pinned = json.dumps([data["surface"], {lab: line["plucker"] for lab, line
+                                           in data["lines"].items()}],
+                        sort_keys=True)
+    assert hashlib.sha256(pinned.encode()).hexdigest() == (
+        "cddf2cb57c0c77173b19dfd4c47b8fda0ead7dcfc558350af5d14702b75f9c35")
+
+
+def _plucker_span(plucker):
+    """The first two distinct nonzero columns of the antisymmetric matrix
+    with entries v_ij = -v_ji, each scaled to a leading 1."""
+    m = [[Fraction(0)] * 4 for _ in range(4)]
+    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    for (i, j), x in zip(pairs, plucker):
+        m[i][j], m[j][i] = Fraction(x), -Fraction(x)
+    leads = [(col, next((x for x in col if x), None)) for col in zip(*m)]
+    points = [[x / lead for x in col] for col, lead in leads if lead]
+    return [p for n, p in enumerate(points) if p not in points[:n]][:2]
+
+
+def test_printed_spans_follow_from_plucker_vectors(capsys):
+    _, out = _run(capsys, "construct", "--format", "json")
+    _, text = _run(capsys, "construct")
+    rows = text.splitlines()
+    for lab, line in json.loads(out)["lines"].items():
+        p, q = line["span"]
+        assert [[Fraction(x) for x in pt] for pt in (p, q)] == _plucker_span(
+            line["plucker"])
+        assert f"  {lab}: span {p} {q}" in rows
+
+
 def _write(tmp_path, data):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data))
@@ -177,17 +215,27 @@ def _species_input(tmp_path, k):
         "points": [[scalar_to_json(c) for c in p.coords] for p in points.points]})
 
 
+@pytest.fixture
+def species_cli(monkeypatch, species_sessions):
+    """The shared species sessions, which cli.Session now hands out: an
+    input read by load_points gets the session of the species fixture with
+    the same points, and any other input is an error."""
+    by_points = {tuple(s.points): s for s in species_sessions.values()}
+    monkeypatch.setattr(cli, "Session", lambda points: by_points[tuple(points)])
+    return species_sessions
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
-def test_hexahedral_over_extension(tmp_path, capsys, monkeypatch, k):
+def test_hexahedral_over_extension(tmp_path, capsys, species_cli, k):
     # The forms come from their double-sixes by linear algebra, with no root
     # extracted: all 3 exist over Q(i) itself, and no level is added.
-    session = cli.Session(load_points(_species_input(tmp_path, k)))
-    monkeypatch.setattr(cli, "_session", lambda args: session)
-    code, out = _run(capsys, "hexahedral", "--format", "json")
+    path = _species_input(tmp_path, k)
+    code, out = _run(capsys, "hexahedral", "--input", path, "--format", "json")
     assert code == 0
     report = json.loads(out)
-    assert report["roots_found"] == 3
+    assert report["forms_found"] == 3
     assert report["cayley_salmon_splits"] == 10
+    session = species_cli[k]
     tower = session.points.tower
     for hexform in session.hexforms:
         for x in hexform.x:
@@ -195,7 +243,8 @@ def test_hexahedral_over_extension(tmp_path, capsys, monkeypatch, k):
                        for c in x.terms.values())
 
 
-def test_verify_all_over_extension_passes(tmp_path, capsys, monkeypatch):
+def test_verify_all_over_extension_passes(tmp_path, capsys, monkeypatch,
+                                          species_cli):
     # The web and census checks take about 40 s together over Q(i) and do not
     # touch the hexahedral forms; they are stubbed as passing.  Every other
     # claim, the hexahedral and hexagram ones included, runs for real.

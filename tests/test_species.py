@@ -2,7 +2,6 @@ import pytest
 
 from cubicgeom import incidence as inc
 from cubicgeom.blowup import build_surface, labeled_lines
-from cubicgeom.fixtures import species_points
 from cubicgeom.forms import tritangent_planes
 from cubicgeom.species import (conjugation_action, classify_species,
                                real_tritangent_covectors, involution_census,
@@ -12,12 +11,11 @@ EXPECT = {1: (27, 45), 2: (15, 15), 3: (7, 5), 4: (3, 7)}
 
 
 @pytest.fixture(scope="module", params=[1, 2, 3, 4])
-def classified(request):
+def classified(request, species_sessions):
     k = request.param
-    surface = build_surface(species_points(k))
-    lines = labeled_lines(surface)
-    action = conjugation_action(surface, lines)
-    return k, surface, lines, action, classify_species(action)
+    s = species_sessions[k]
+    action = conjugation_action(s.surface, s.lines)
+    return k, s.surface, s.lines, action, classify_species(action)
 
 
 def test_species_assignment(classified):
@@ -45,10 +43,9 @@ def test_covector_count_matches_trio_count(classified):
     assert real_tritangent_covectors(action, planes) == report.real_tritangents
 
 
-def test_one_pair_swaps_a5_a6():
-    surface = build_surface(species_points(2))
-    lines = labeled_lines(surface)
-    action = conjugation_action(surface, lines)
+def test_one_pair_swaps_a5_a6(species_sessions):
+    s = species_sessions[2]
+    action = conjugation_action(s.surface, s.lines)
     i5, i6 = inc.LABEL_INDEX[inc.a(5)], inc.LABEL_INDEX[inc.a(6)]
     assert action.perm[i5] == i6 and action.perm[i6] == i5
 
