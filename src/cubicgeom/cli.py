@@ -54,9 +54,10 @@ def _scalars(tower, data, what):
 def load_points(path):
     """Parse {"schema": 1, "field": {"levels": [...]}, "points": [...]}.
 
-    Raises SchemaError unless there are six points of three scalars each and
-    every level is a monic polynomial of degree 2 or 3; a level over Q must
-    also be irreducible.
+    Raises SchemaError unless there are six nonzero points of three scalars
+    each and every level is a monic polynomial of degree 2 or 3; a level over
+    Q must also be irreducible.  A scalar over a level is a "p/q" string or a
+    list of exactly the level's degree of scalars over the level below.
     """
     with open(path) as fh:
         data = json.load(fh)
@@ -80,6 +81,7 @@ def load_points(path):
         tower = tower.extend(modulus)
     coords = [_scalars(tower, p, "a point") for p in points]
     _require(all(len(c) == 3 for c in coords), "a point must have 3 coordinates")
+    _require(all(any(c) for c in coords), "a point must not be (0, 0, 0)")
     return SixPoints(coords, tower)
 
 

@@ -3,10 +3,15 @@
 Rationals are gmpy2.mpq values (fractions.Fraction if gmpy2 is missing).
 Extension elements live in a FieldTower level: a monic defining polynomial
 with coefficients in the level below, its ``base``.  Inputs may stack
-several levels; the arithmetic works at any height.
+several levels; the arithmetic works at any height.  An element of a level
+over Q is held as integer numerators over one positive denominator, in
+lowest terms (Cohen, A Course in Computational Algebraic Number Theory,
+ch. 4); an element of a higher level as its coefficients over the base.
 """
 
 from __future__ import annotations
+
+from math import gcd, lcm
 
 try:
     from gmpy2 import mpq as _mpq
@@ -14,6 +19,10 @@ except ImportError:  # pragma: no cover
     from fractions import Fraction as _mpq
 
 mpq = _mpq
+
+# The rational types whose numerator and denominator the level-over-Q
+# arithmetic reads directly (a bool, or anything else, is coerced first).
+_RATIONAL_TYPES = frozenset({int, _mpq})
 
 
 class ZeroDivisorError(ZeroDivisionError):
@@ -49,18 +58,26 @@ class FieldTower:
     A level above Q holds ``base``, the level below it, and ``modulus``, the
     monic minimal polynomial of its generator as a coefficient list (constant
     first, top coefficient 1) of elements of ``base``.  Q itself has neither.
-    Each level keeps its zero, which pads the elements of the level above.
+    A level over Q also keeps ``int_modulus``, the modulus times the least
+    common multiple q of its denominators as integers (so its last entry is
+    q); elsewhere it is None.  Each level keeps its zero, which pads the
+    elements of the level above.
     """
 
     def __init__(self, base=None, modulus=None, name=None):
         self.base = base
         self.modulus = modulus
+        self.int_modulus = None
         if base is None:
             self.height, self.degree, self.names = 0, 1, []
             self._zero = rat(0)
             return
         if len(modulus) < 3 or modulus[-1] != 1:
             raise ValueError("defining polynomial must be monic of degree >= 2")
+        if base.base is None:
+            q = lcm(*(c.denominator for c in modulus))
+            self.int_modulus = tuple(c.numerator * (q // c.denominator)
+                                     for c in modulus)
         self.height = base.height + 1
         self.degree = base.degree * (len(modulus) - 1)
         self.names = base.names + [name or f"theta{base.height}"]
@@ -127,31 +144,57 @@ def _coerce_pair(a, b):
 
 
 class FieldElement:
-    """Element of a FieldTower level, as a coefficient vector over its base.
+    """Element of a FieldTower level.
 
-    The coefficients must already be elements of ``tower.base`` (rationals
-    when the base is Q); they are reduced modulo ``tower.modulus`` and padded
-    with zeros to exactly deg(modulus) entries.  FieldTower.embed lifts
-    anything else.  On a level of degree 2, with modulus x^2 + m1 x + m0,
-    products and inverses take closed forms; higher degrees go through the
-    dense polynomial helpers.
+    ``FieldElement(tower, coeffs)`` takes coefficients that are already
+    elements of ``tower.base`` (rationals when the base is Q), reduces them
+    modulo ``tower.modulus`` and pads them with zeros to exactly
+    deg(modulus) entries; FieldTower.embed lifts anything else.
+
+    On a level over Q the element keeps ``num``, a tuple of deg(modulus)
+    integer numerators, and ``den``, one positive denominator, in lowest
+    terms: equality is a tuple compare, a rational operand scales the
+    numerators, and degree-2 products and inverses take closed forms in
+    integers.  ``coeffs`` is then a fresh list of rationals derived from
+    them.  On a higher level ``coeffs`` is the stored list of base elements,
+    and degree-2 levels use the same closed forms over the base.  Degree-3
+    levels, at any height, multiply and invert through the dense polynomial
+    helpers.
     """
 
-    __slots__ = ("tower", "coeffs", "_hash")
+    __slots__ = ("tower", "num", "den", "_coeffs", "_hash")
 
     def __init__(self, tower, coeffs):
         self.tower = tower
+        self._hash = None
         coeffs = list(coeffs)
         deg = len(tower.modulus) - 1
         if len(coeffs) > deg:
             coeffs = _poly_divmod(coeffs, tower.modulus, tower.base)[1]
-        self.coeffs = coeffs + [tower.base._zero] * (deg - len(coeffs))
-        self._hash = None
+        if tower.int_modulus is None:
+            self.num = self.den = None
+            self._coeffs = coeffs + [tower.base._zero] * (deg - len(coeffs))
+            return
+        # lcm of lowest-terms denominators: the numerators share no factor with it
+        den = lcm(*(c.denominator for c in coeffs))
+        self.num = (tuple(c.numerator * (den // c.denominator) for c in coeffs)
+                    + (0,) * (deg - len(coeffs)))
+        self.den = den
+        self._coeffs = None
+
+    @property
+    def coeffs(self):
+        """The coefficients over the base, constant first."""
+        if self.num is None:
+            return self._coeffs
+        return [_mpq(n, self.den) for n in self.num]
 
     # -- structure ---------------------------------------------------------
 
     def is_zero(self):
-        return all(not c for c in self.coeffs)
+        if self.num is not None:
+            return not any(self.num)
+        return all(not c for c in self._coeffs)
 
     def __bool__(self):
         return not self.is_zero()
@@ -161,42 +204,61 @@ class FieldElement:
         modulus = self.tower.modulus
         if len(modulus) != 3 or modulus[1]:
             raise ValueError("conjugation needs a top level x^2 - d")
-        return FieldElement(self.tower, [self.coeffs[0], -self.coeffs[1]])
+        if self.num is not None:
+            return _over_q(self.tower, (self.num[0], -self.num[1]), self.den)
+        return FieldElement(self.tower, [self._coeffs[0], -self._coeffs[1]])
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
+        if self.num is not None:
+            if type(other) is FieldElement and other.tower is self.tower:
+                return _q_add(self, other.num, other.den)
+            if type(other) in _RATIONAL_TYPES:
+                return _q_add_rational(self, other.numerator, other.denominator)
         pair = _coerce_pair(self, other)
         if pair is None:
             return NotImplemented
         a, b = pair
-        if not isinstance(a, FieldElement):
-            return a + b
-        return FieldElement(a.tower, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        if a.num is not None:
+            return _q_add(a, b.num, b.den)
+        return FieldElement(a.tower, [x + y for x, y in zip(a._coeffs, b._coeffs)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.tower, [-c for c in self.coeffs])
+        if self.num is not None:
+            return _over_q(self.tower, tuple(-n for n in self.num), self.den)
+        return FieldElement(self.tower, [-c for c in self._coeffs])
 
     def __sub__(self, other):
+        if self.num is not None:
+            if type(other) is FieldElement and other.tower is self.tower:
+                return _q_add(self, tuple(-n for n in other.num), other.den)
+            if type(other) in _RATIONAL_TYPES:
+                return _q_add_rational(self, -other.numerator, other.denominator)
         return self + (-other if isinstance(other, FieldElement) else -_as_scalar(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if self.num is not None:
+            if type(other) is FieldElement and other.tower is self.tower:
+                return _q_mul(self, other)
+            if type(other) in _RATIONAL_TYPES:
+                return _q_scale(self, other.numerator, other.denominator)
         pair = _coerce_pair(self, other)
         if pair is None:
             return NotImplemented
         a, b = pair
-        if not isinstance(a, FieldElement):
-            return a * b
+        if a.num is not None:
+            return _q_mul(a, b)
         modulus = a.tower.modulus
         if len(modulus) != 3:
-            return FieldElement(a.tower, _poly_mul(a.coeffs, b.coeffs, a.tower.base))
+            return FieldElement(a.tower, _poly_mul(a._coeffs, b._coeffs, a.tower.base))
         # (a0 + a1 t)(b0 + b1 t) with t^2 = -m1 t - m0
-        (a0, a1), (b0, b1), (m0, m1) = a.coeffs, b.coeffs, modulus[:2]
+        (a0, a1), (b0, b1), (m0, m1) = a._coeffs, b._coeffs, modulus[:2]
         top = a1 * b1
         low, high = a0 * b0 - m0 * top, a0 * b1 + a1 * b0
         return FieldElement(a.tower, [low, high - m1 * top if m1 else high])
@@ -207,9 +269,19 @@ class FieldElement:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         modulus = self.tower.modulus
+        if len(modulus) == 3 and self.num is not None:
+            # the conjugate of alpha = a0 + a1 t is (q a0 - m1 a1 - q a1 t) / q
+            # and its norm n / q, so 1 / (alpha / d) = d (q a0 - m1 a1 - q a1 t) / n
+            (a0, a1), (m0, m1, q), d = self.num, self.tower.int_modulus, self.den
+            c0 = q * a0 - m1 * a1
+            norm = a0 * c0 + m0 * a1 * a1
+            if not norm:
+                raise ZeroDivisorError(
+                    f"non-invertible element in {self.tower!r}: modulus is reducible")
+            return _over_q(self.tower, (d * c0, -d * q * a1), norm)
         if len(modulus) == 3:
             # the conjugate (a0 - m1 a1) - a1 t over the norm
-            (a0, a1), (m0, m1) = self.coeffs, modulus[:2]
+            (a0, a1), (m0, m1) = self._coeffs, modulus[:2]
             conj = [a0 - m1 * a1 if m1 else a0, -a1]
             g = [a0 * conj[0] + m0 * a1 * a1]
         else:
@@ -221,31 +293,40 @@ class FieldElement:
         return FieldElement(self.tower, [c * inv_lead for c in conj])
 
     def __truediv__(self, other):
+        if self.num is not None and type(other) in _RATIONAL_TYPES:
+            if not other:
+                raise ZeroDivisionError("division by zero")
+            return _q_scale(self, other.denominator, other.numerator)
         pair = _coerce_pair(self, other)
         if pair is None:
             return NotImplemented
         a, b = pair
-        if not isinstance(b, FieldElement):
-            return a / b
         return a * b.inverse()
 
     def __rtruediv__(self, other):
         return _as_scalar(other) * self.inverse() if not isinstance(other, FieldElement) else NotImplemented
 
     def __eq__(self, other):
+        if self.num is not None:
+            if type(other) is FieldElement and other.tower is self.tower:
+                return self.num == other.num and self.den == other.den
+            if type(other) in _RATIONAL_TYPES:
+                num = self.num
+                return (self.den == other.denominator and num[0] == other.numerator
+                        and not any(num[1:]))
         pair = _coerce_pair(self, other)
         if pair is None:
             return NotImplemented
         a, b = pair
-        if not isinstance(a, FieldElement):
-            return a == b
-        return a.coeffs == b.coeffs
+        if a.num is not None:
+            return a.num == b.num and a.den == b.den
+        return a._coeffs == b._coeffs
 
     def __hash__(self):
         # An element of a lower level hashes alike wherever it is embedded.
         if self._hash is None:
-            self._hash = hash(tuple(self.coeffs) if any(self.coeffs[1:])
-                              else self.coeffs[0])
+            coeffs = self.coeffs
+            self._hash = hash(tuple(coeffs) if any(coeffs[1:]) else coeffs[0])
         return self._hash
 
     def __repr__(self):
@@ -267,6 +348,64 @@ class FieldElement:
         return enc(self)
 
 
+# -- elements of a level over Q: integer numerators over one denominator -----
+
+_new = object.__new__
+
+
+def _over_q(tower, num, den):
+    """The element sum(num[k] theta^k) / den of a level over Q, for integers
+    num and a nonzero integer den, brought to lowest terms."""
+    if den != 1:
+        g = gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = tuple(n // g for n in num)
+            den //= g
+    x = _new(FieldElement)
+    x.tower, x.num, x.den, x._coeffs, x._hash = tower, num, den, None, None
+    return x
+
+
+def _q_add(a, num, den):
+    """a + num / den on a's level over Q."""
+    if a.den == den:
+        return _over_q(a.tower, tuple(x + y for x, y in zip(a.num, num)), den)
+    da = a.den
+    return _over_q(a.tower, tuple(x * den + y * da for x, y in zip(a.num, num)),
+                   da * den)
+
+
+def _q_add_rational(a, p, q):
+    """a + p/q on a's level over Q: only the constant numerator moves."""
+    n0, *rest = a.num
+    return _over_q(a.tower, (n0 * q + p * a.den, *(n * q for n in rest)), a.den * q)
+
+
+def _q_scale(a, p, q):
+    """a * p/q on a's level over Q, for integers p and q != 0."""
+    return _over_q(a.tower, tuple(n * p for n in a.num), a.den * q)
+
+
+def _q_mul(a, b):
+    """a * b for two elements of one level over Q."""
+    tower = a.tower
+    if len(a.num) != 2:
+        return FieldElement(tower, _poly_mul(a.coeffs, b.coeffs, tower.base))
+    (a0, a1), (b0, b1) = a.num, b.num
+    den = a.den * b.den
+    if not a1:
+        return _over_q(tower, (a0 * b0, a0 * b1), den)
+    if not b1:
+        return _over_q(tower, (a0 * b0, a1 * b0), den)
+    # (a0 + a1 t)(b0 + b1 t) with q t^2 = -m1 t - m0
+    m0, m1, q = tower.int_modulus
+    top = a1 * b1
+    return _over_q(tower, (q * a0 * b0 - m0 * top, q * (a0 * b1 + a1 * b0) - m1 * top),
+                   q * den)
+
+
 def _as_scalar(x):
     return x if isinstance(x, FieldElement) else _mpq(x)
 
@@ -277,11 +416,18 @@ def scalar_to_json(x):
 
 
 def scalar_from_json(tower, data):
-    """Inverse of scalar_to_json for a given tower; ValueError if malformed."""
+    """Inverse of scalar_to_json for a given tower; ValueError if malformed.
+
+    A coefficient list must have exactly the level's degree of entries.
+    """
     if isinstance(data, str):
         return tower.embed(rat(data))
     if tower.base is None or not isinstance(data, list):
         raise ValueError(f"not a scalar over {tower!r}: {data!r}")
+    degree = len(tower.modulus) - 1
+    if len(data) != degree:
+        raise ValueError(f"a scalar over {tower!r} needs {degree} coefficients, "
+                         f"not {len(data)}: {data!r}")
     return FieldElement(tower, [scalar_from_json(tower.base, c) for c in data])
 
 

@@ -12,6 +12,7 @@ from cubicgeom.fixtures import species_points
 
 GOLDEN = Path(__file__).parent / "golden"
 FRAME = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["1", "1", "1"]]
+GAUSS = {"levels": [["1", "0", "1"]]}
 
 
 def _run(capsys, *argv):
@@ -162,8 +163,19 @@ def _write(tmp_path, data):
      "points": FRAME + [["1", "2", "3"], ["1", "5", "8"]]},
     {"schema": 1, "points": FRAME + [["1", "2", "3"], ["1", "5", 8]]},
     {"schema": 1, "points": FRAME + [["1", "2", "3"], ["1", "5", "8/0"]]},
+    # a scalar over Q(i) has exactly 2 coefficients: [] was read as 0 and
+    # blamed on the points as collinear, ["1"] as 1, and ["1", "2", "3"]
+    # was reduced modulo x^2 + 1 to -2 + 2i
+    {"schema": 1, "field": GAUSS, "points": FRAME + [[[], "5", "7"], ["1", "5", "8"]]},
+    {"schema": 1, "field": GAUSS, "points": FRAME + [[["1"], "5", "7"], ["1", "5", "8"]]},
+    {"schema": 1, "field": GAUSS,
+     "points": FRAME + [[["1", "2", "3"], "5", "7"], ["1", "5", "8"]]},
+    # the zero vector is no point; it exited 1 with a bare ValueError
+    {"schema": 1, "points": FRAME[:3] + [["0", "0", "0"], ["1", "2", "3"], ["1", "5", "8"]]},
 ], ids=["schema-version", "point-arity", "levels-not-a-list",
-        "degree-1-modulus", "number-not-a-string", "zero-denominator"])
+        "degree-1-modulus", "number-not-a-string", "zero-denominator",
+        "no-coefficients", "too-few-coefficients", "too-many-coefficients",
+        "zero-point"])
 def test_malformed_input_is_a_schema_error(tmp_path, capsys, data):
     path = _write(tmp_path, data)
     with pytest.raises(SchemaError):
@@ -243,14 +255,8 @@ def test_hexahedral_over_extension(tmp_path, capsys, species_cli, k):
                        for c in x.terms.values())
 
 
-def test_verify_all_over_extension_passes(tmp_path, capsys, monkeypatch,
-                                          species_cli):
-    # The web and census checks take about 40 s together over Q(i) and do not
-    # touch the hexahedral forms; they are stubbed as passing.  Every other
-    # claim, the hexahedral and hexagram ones included, runs for real.
-    monkeypatch.setattr(cli, "_webs", lambda s, census: [])
-    monkeypatch.setattr(cli, "_census",
-                        lambda s: ({"48": 45}, 360, {"6": 360}))
+def test_verify_all_over_extension_passes(tmp_path, capsys, species_cli):
+    # every claim runs for real over Q(i), the webs and the census included
     path = _species_input(tmp_path, 3)
     code, out = _run(capsys, "verify-all", "--input", path)
     rows = out.splitlines()

@@ -189,4 +189,9 @@ def test_levels_pad_with_one_cached_zero():
     assert tower.base.zero() is tower.base.zero()
     x = tower.embed(rat(3))
     assert x.coeffs[1] is tower.base.zero() and x.coeffs[2] is tower.base.zero()
-    assert x.coeffs[0].coeffs[1] is QQ.zero()
+    # a level over Q stores integer numerators over one positive denominator
+    low = x.coeffs[0]
+    assert (low.num, low.den) == ((3, 0), 1)
+    y = tower.base.embed(rat(4, 6)) + tower.base.gen() * rat(2, 9)
+    assert (y.num, y.den) == ((6, 2), 9)
+    assert (-y / 2).den == 9 and (y * 0).den == 1

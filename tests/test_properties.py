@@ -1,6 +1,9 @@
+from fractions import Fraction
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubicgeom.field import QQ, rat
+from cubicgeom.field import QQ, rat, rat_str, scalar_from_json, scalar_to_json
 from cubicgeom.linalg import ExactMatrix
 from cubicgeom.multipoly import MultiPoly, monomials
 from cubicgeom.projgeom import canonicalize
@@ -77,3 +80,123 @@ def test_field_tower_inverse(a, b, c, d):
         return
     assert x.inverse() * x == tower.one()
     assert (x * y).conjugate() == x.conjugate() * y.conjugate()
+
+
+# Levels for the arithmetic oracle, each as its defining polynomials from the
+# bottom up in the input's JSON form (a scalar over a level is a "p/q" string
+# or a list of scalars over the level below).
+ORACLE_LEVELS = {
+    "Q(i)": [["1", "0", "1"]],
+    "Q(sqrt2)": [["-2", "0", "1"]],
+    "Q(omega)": [["1", "1", "1"]],
+    "Q(sqrt(1/2))": [["-1/2", "0", "1"]],
+    "Q(cbrt2)": [["-2", "0", "0", "1"]],
+    "Q(cbrt(1/2))": [["-1/2", "0", "0", "1"]],
+    "Q(i)(sqrt(1+i))": [["1", "0", "1"], [["-1", "-1"], "0", "1"]],
+}
+
+
+def _ref(levels, data):
+    """A JSON scalar as nested tuples of Fractions, a rational embedded."""
+    if not levels:
+        return Fraction(data)
+    below, n = levels[:-1], len(levels[-1]) - 1
+    if isinstance(data, str):
+        return (_ref(below, data),) + (_ref(below, "0"),) * (n - 1)
+    return tuple(_ref(below, c) for c in data)
+
+
+def _ref_add(levels, x, y):
+    if not levels:
+        return x + y
+    return tuple(_ref_add(levels[:-1], a, b) for a, b in zip(x, y))
+
+
+def _ref_neg(levels, x):
+    return -x if not levels else tuple(_ref_neg(levels[:-1], a) for a in x)
+
+
+def _ref_mul(levels, x, y):
+    """The dense product, then each top term c t^k replaced by
+    -c sum m_i t^(k-n+i) for the monic modulus sum m_i t^i."""
+    if not levels:
+        return x * y
+    below = levels[:-1]
+    modulus = [_ref(below, c) for c in levels[-1]]
+    n = len(modulus) - 1
+    out = [_ref(below, "0")] * (2 * n - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            out[i + j] = _ref_add(below, out[i + j], _ref_mul(below, a, b))
+    while len(out) > n:
+        top = out.pop()
+        for i, m in enumerate(modulus[:-1], len(out) - n):
+            out[i] = _ref_add(below, out[i], _ref_neg(below, _ref_mul(below, top, m)))
+    return tuple(out)
+
+
+def _json_scalars(levels):
+    """JSON scalars over levels, with many zero coefficients."""
+    if not levels:
+        return st.one_of(st.just("0"), st.builds("{}/{}".format, st.integers(-30, 30),
+                                                  st.integers(1, 9)))
+    n = len(levels[-1]) - 1
+    return st.lists(_json_scalars(levels[:-1]), min_size=n, max_size=n)
+
+
+rational_operands = st.one_of(st.integers(-6, 6),
+                              st.builds(rat, st.integers(-30, 30), st.integers(1, 9)))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_LEVELS))
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_arithmetic_matches_fraction_oracle(name, data):
+    levels = ORACLE_LEVELS[name]
+    tower = QQ
+    for modulus in levels:
+        tower = tower.extend([scalar_from_json(tower, c) for c in modulus])
+    x_json, y_json = data.draw(_json_scalars(levels)), data.draw(_json_scalars(levels))
+    x, y = scalar_from_json(tower, x_json), scalar_from_json(tower, y_json)
+    r = data.draw(rational_operands)
+
+    def ref(v):
+        # the stored form is canonical: the same value read back is equal
+        encoded = scalar_to_json(v)
+        again = scalar_from_json(tower, encoded)
+        assert v == again and hash(v) == hash(again)
+        return _ref(levels, encoded)
+
+    def add(u, v):
+        return _ref_add(levels, u, v)
+
+    def sub(u, v):
+        return _ref_add(levels, u, _ref_neg(levels, v))
+
+    def mul(u, v):
+        return _ref_mul(levels, u, v)
+
+    rx, ry, rr = ref(x), ref(y), _ref(levels, rat_str(rat(r)))
+    operands = [(y, ry), (r, rr)]
+    if tower.height > 1:
+        z = scalar_from_json(tower.base, data.draw(_json_scalars(levels[:-1])))
+        zero_rest = ["0"] * (len(levels[-1]) - 2)
+        operands.append((z, _ref(levels, [scalar_to_json(z)] + zero_rest)))
+    for w, rw in operands:
+        assert ref(x + w) == ref(w + x) == add(rx, rw)
+        assert ref(x - w) == sub(rx, rw) and ref(w - x) == sub(rw, rx)
+        assert ref(x * w) == ref(w * x) == mul(rx, rw)
+        assert (x == w) == (w == x) == (rx == rw)
+        if rx == rw:
+            assert hash(x) == hash(w)
+    assert ref(-x) == _ref_neg(levels, rx)
+    same = (x + y) - y
+    assert same == x and hash(same) == hash(x)
+    assert hash(tower.embed(r)) == hash(r) and tower.embed(r) == r
+    if x:
+        assert x != x / 2
+        inv = x.inverse()
+        assert mul(rx, ref(inv)) == _ref(levels, "1")
+        assert ref(y / x) == mul(ry, ref(inv)) and ref(r / x) == mul(rr, ref(inv))
+    if r:
+        assert ref(x / r) == mul(rx, _ref(levels, rat_str(1 / rat(r))))
