@@ -266,7 +266,7 @@ def _webs(s, census):
     webs = []
     for trio in (trios if census else trios[:3]):
         web = quadric_web(s.surface, trio, s.lines, s.planes[trio])
-        webs.append((trio, web, steinerian(s.surface, web, s.lines)))
+        webs.append((trio, web, steinerian(s.surface, web)))
     return webs
 
 

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 from .field import FieldElement, rat, inverse
 from .linalg import ExactMatrix
-from .multipoly import MultiPoly, monomials
+from .multipoly import MultiPoly, monomials, ratio
 from .projgeom import ProjPlane, plane_of_lines, meet_planes
 from . import incidence as inc
 
@@ -166,7 +166,7 @@ def hexahedral_from_cs(cs, surface, planes):
         p, q, r, s, t, u = (f.scale(lam[trio] * unit)
                             for f, trio in zip(cs.plane_forms(), trios))
         x = [q + r - p, r + p - q, p + q - r, t + u - s, u + s - t, s + t - u]
-        c = _ratio(sum((f * f * f for f in x), MultiPoly(4)), surface.F)
+        c = ratio(sum((f * f * f for f in x), MultiPoly(4)), surface.F)
         if sum(x, MultiPoly(4)) or not c:
             raise NoDecompositionError(
                 "the double-six's planes give no hexahedral form")
@@ -180,16 +180,6 @@ def _scalar_key(x):
     """Rationals in their usual order, tower elements by coefficient list."""
     return ([k for c in x.coeffs for k in _scalar_key(c)]
             if isinstance(x, FieldElement) else [x])
-
-
-def _ratio(num, den):
-    """The scalar c with num = c * den, or None."""
-    lead_m, lead_c = den.leading()
-    top = num.coefficient(lead_m)
-    if not top:
-        return None
-    c = top * inverse(lead_c)
-    return c if den.scale(c) == num else None
 
 
 def hexahedral_lines(hexform, lines):

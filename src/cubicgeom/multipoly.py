@@ -249,6 +249,16 @@ def eval_monomial(expo, coords):
     return acc
 
 
+def ratio(num, den):
+    """The scalar c with num = c * den, or None."""
+    lead_m, lead_c = den.leading()
+    top = num.coefficient(lead_m)
+    if not top:
+        return None
+    c = top * inverse(lead_c)
+    return c if den.scale(c) == num else None
+
+
 # Lines of P^3, each through two rational points, tried in order by
 # coprime_on_a_line.
 CERTIFICATE_LINES = tuple(

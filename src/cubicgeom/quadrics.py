@@ -9,8 +9,8 @@ import itertools
 from dataclasses import dataclass
 
 from .field import rat, inverse
-from .linalg import ExactMatrix, det3, signed_minors
-from .multipoly import MultiPoly, monomials, eval_monomial
+from .linalg import ExactMatrix, signed_minors
+from .multipoly import MultiPoly, monomials, eval_monomial, ratio
 from .projgeom import ProjPlane, span_plane, meet_lines
 from . import incidence as inc
 
@@ -108,10 +108,8 @@ def residual_quadric(surface, plane, pencil_planes):
     if prod_r.is_zero():
         alpha = rat(0)
     else:
-        lead_m, lead_c = f_r.leading()
-        top = prod_r.coefficient(lead_m)
-        alpha = top * inverse(lead_c)
-        if f_r.scale(alpha) != prod_r:
+        alpha = ratio(prod_r, f_r)
+        if alpha is None:
             raise NoSolutionError("restricted cubics are not proportional")
     remainder = product - surface.F.scale(alpha)
     if remainder.is_zero():
@@ -134,56 +132,44 @@ def steinerian_nodes(trio, lines):
     return nodes
 
 
-def _face_planes(tetrad):
-    return [span_plane(*(tetrad[j] for j in range(4) if j != i)) for i in range(4)]
-
-
 def _face_product(tetrad):
     acc = MultiPoly.constant(4, rat(1))
-    for h in _face_planes(tetrad):
+    for i in range(4):
+        h = span_plane(*(tetrad[j] for j in range(4) if j != i))
         acc = acc * MultiPoly.linear_form(h.coeffs)
     return acc
 
 
-def _dot(u, v):
-    return sum((a * b for a, b in zip(u, v)), rat(0))
+def desmic_lines(nodes):
+    """The 16 lines of the desmic system, as the node triples whose 4 signed
+    minors all vanish; any other count raises NoDesmicPartitionError."""
+    found = [t for t in itertools.combinations(range(len(nodes)), 3)
+             if not any(signed_minors([nodes[i].coords for i in t]))]
+    if len(found) != 16:
+        raise NoDesmicPartitionError(f"found {len(found)} desmic lines")
+    return found
 
 
 def desmic_partition(nodes):
-    """The unique split of the 12 nodes into 3 tetrahedra with linearly
-    dependent face-plane products (checked over all 5775 partitions).
+    """The unique split of the 12 nodes into 3 non-degenerate tetrahedra with
+    linearly dependent face-plane products.
 
-    A partition is a candidate when the face products agree at 3 probes up to
-    a dependence; those values come from one covector per node triple, each
-    known only up to scale, which changes neither which tetrads are
-    degenerate nor whether the 3x3 probe determinant vanishes.  Candidates
-    are confirmed on the exact face-plane products.
+    The certificate is the 16 desmic lines: each passes through one vertex of
+    every tetrahedron, so a tetrad holds no two nodes of a line.  Only the
+    partitions of the 5775 that obey this are checked on the exact products.
     """
-    probes = [(rat(1), rat(2), rat(3), rat(5)), (rat(1), rat(-1), rat(2), rat(7)),
-              (rat(2), rat(3), rat(-5), rat(1))]
-    faces = {}
-    for triple in itertools.combinations(range(12), 3):
-        h = signed_minors([nodes[i].coords for i in triple])
-        faces[triple] = (h, [_dot(h, p) for p in probes])
-    tetrads = {}
-    for combo in itertools.combinations(range(12), 4):
-        # the 4x4 determinant of the tetrad is +- face . opposite vertex
-        if not _dot(faces[combo[1:]][0], nodes[combo[0]].coords):
-            continue
-        values = [rat(1)] * len(probes)
-        for i in range(4):
-            face_values = faces[combo[:i] + combo[i + 1:]][1]
-            values = [v * f for v, f in zip(values, face_values)]
-        tetrads[combo] = values
+    joined = {pair for line in desmic_lines(nodes)
+              for pair in itertools.combinations(line, 2)}
     found = []
     deg4 = monomials(4, 4)
     for part in _partitions_into_tetrads(12):
-        if any(t not in tetrads for t in part):
+        if any(pair in joined for t in part
+               for pair in itertools.combinations(t, 2)):
             continue
-        if det3([tetrads[t] for t in part]):
+        tetrads = [[nodes[i] for i in t] for t in part]
+        if not all(ExactMatrix([n.coords for n in t]).det() for t in tetrads):
             continue
-        forms = [_face_product([nodes[i] for i in t]) for t in part]
-        rows = [f.coeff_vector(deg4) for f in forms]
+        rows = [_face_product(t).coeff_vector(deg4) for t in tetrads]
         if ExactMatrix(rows).rank() == 2:
             found.append(part)
     if len(found) != 1:
@@ -218,6 +204,7 @@ class QuadricWeb:
     nodes: list              # the 12 nodes, in construction order
     tetrads: tuple           # desmic partition as index tetrads
     base_points: tuple       # indices of the 6 base nodes
+    quartic: MultiPoly       # det[S_0 x | S_1 x | S_2 x | S_3 x]
 
     def member(self, lam):
         mat = [[sum((l * b.mat[r][c] for l, b in zip(lam, self.basis)), rat(0))
@@ -238,11 +225,12 @@ def quadric_web(surface, trio, lines, plane):
     """The web of quadrics attached to a tritangent plane.
 
     The basis spans the quadrics through six of the 12 Steinerian nodes (one
-    vertex pair from each desmic tetrahedron); the admissible pair choice is
-    found by a deterministic scan and yields a Jacobian quartic singular at
-    all 12 nodes.  The full family of residual quadrics spans 8 dimensions
-    (see residual_family_rank), so this 4-dimensional system is the one cut
-    by the base-point conditions.
+    vertex pair from each tetrahedron of desmic_partition, whose certificate
+    is the 16 desmic lines); the first pair choice of a deterministic scan
+    whose Jacobian quartic is zero and singular at all 12 nodes is taken, and
+    the web keeps that quartic.  The full family of residual quadrics spans 8
+    dimensions (see residual_family_rank), so this 4-dimensional system is the
+    one cut by the base-point conditions.
     """
     nodes = steinerian_nodes(trio, lines)
     part = desmic_partition(nodes)
@@ -265,7 +253,7 @@ def quadric_web(surface, trio, lines, plane):
                and all(g.evaluate(n.coords) == 0 for g in grad)
                for n in nodes):
             return QuadricWeb(frozenset(trio), plane, basis, nodes, part,
-                              base_idx)
+                              base_idx, k_form)
     raise WrongDimensionError("no admissible base-point selection found")
 
 
@@ -284,30 +272,20 @@ def residual_family_rank(surface, trio, planes):
 class SteinerianQuartic:
     form: MultiPoly
     nodes: list
-    web: QuadricWeb
-    tetrads: list = None
 
 
-def steinerian(surface, web, lines):
+def steinerian(surface, web):
     """The Steinerian quartic of the web, with its 12 constructed nodes.
 
-    K(x) = det[S_0 x | S_1 x | S_2 x | S_3 x] over the web basis; the nodes
-    are the intersection points of the residual line-pairs cut by the 12
-    tritangent planes through the trio's lines other than the trio's own
-    plane, verified by K = 0, gradient zero and membership on the surface.
+    K(x) = det[S_0 x | S_1 x | S_2 x | S_3 x] is the quartic quadric_web
+    verified to be zero and singular at the nodes, whose desmic tetrahedra
+    are certified by the 16 desmic lines; here each node is checked to lie
+    on the surface.
     """
-    k_form = _jacobian_det(web.basis)
-    if k_form.is_zero() or k_form.degree() != 4:
-        raise NodeVerificationFailedError("Steinerian is not a quartic")
-    nodes = web.nodes
-    grad = k_form.gradient()
-    for node in nodes:
-        if k_form.evaluate(node.coords) or not surface.contains_point(node):
-            raise NodeVerificationFailedError(f"node {node} fails K = F = 0")
-        if any(g.evaluate(node.coords) for g in grad):
-            raise NodeVerificationFailedError(f"gradient does not vanish at {node}")
-    tetrads = [tuple(nodes[i] for i in t) for t in web.tetrads]
-    return SteinerianQuartic(k_form, nodes, web, tetrads)
+    for node in web.nodes:
+        if not surface.contains_point(node):
+            raise NodeVerificationFailedError(f"node {node} is not on F = 0")
+    return SteinerianQuartic(web.quartic, web.nodes)
 
 
 _UPPER = [(r, c) for r in range(4) for c in range(r, 4)]

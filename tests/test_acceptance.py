@@ -137,7 +137,7 @@ def test_criterion_06_desmic(surface, lines, planes, sorted_trios):
         web = quadric_web(surface, trio, lines, planes[trio])
         assert len(web.basis) == 4
         assert ExactMatrix([b.coeff_vector() for b in web.basis]).rank() == 4
-        quartic = steinerian(surface, web, lines)
+        quartic = steinerian(surface, web)
         assert quartic.form.degree() == 4
         grad = quartic.form.gradient()
         assert len(set(quartic.nodes)) == 12

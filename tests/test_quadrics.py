@@ -5,15 +5,17 @@ import pytest
 
 from cubicgeom import incidence as inc
 from cubicgeom.field import rat
-from cubicgeom.linalg import ExactMatrix
+from cubicgeom.linalg import ExactMatrix, det3, signed_minors
 from cubicgeom.multipoly import MultiPoly, monomials
+from cubicgeom.projgeom import ProjPoint
 from cubicgeom.quadrics import (QuadricSurface, residual_quadric,
                                 residual_family_rank, steinerian_nodes,
-                                desmic_partition, quadric_web, steinerian,
-                                six_line_quadric_census,
+                                desmic_lines, desmic_partition, quadric_web,
+                                steinerian, six_line_quadric_census,
                                 intersection_point_grouping, _face_product,
-                                _pencil_members, _trilinear_quadrics,
-                                _symmetric)
+                                _partitions_into_tetrads, _pencil_members,
+                                _trilinear_quadrics, _symmetric,
+                                NoDesmicPartitionError)
 
 @pytest.fixture(scope="module")
 def trio(sorted_trios):
@@ -27,7 +29,7 @@ def web(surface, trio, lines, planes):
 
 @pytest.fixture(scope="module")
 def quartic(surface, web, lines):
-    return steinerian(surface, web, lines)
+    return steinerian(surface, web)
 
 
 def test_residual_quadric_of_the_plane_itself(surface, trio, lines, planes):
@@ -74,6 +76,82 @@ def test_desmic_partition_unique_and_dependent(trio, lines):
     rows = [_face_product([nodes[i] for i in t]).coeff_vector(deg4)
             for t in part]
     assert ExactMatrix(rows).rank() == 2
+
+
+def test_desmic_lines_meet_every_tetrad(trio, lines):
+    # a (12_4, 16_3) configuration: 16 lines of 3 nodes, 4 through each
+    # node, and each line through one vertex of every tetrahedron
+    nodes = steinerian_nodes(trio, lines)
+    found = desmic_lines(nodes)
+    assert len(found) == 16
+    assert set(Counter(i for line in found for i in line).values()) == {4}
+    tetrad_of = {i: k for k, t in enumerate(desmic_partition(nodes))
+                 for i in t}
+    for line in found:
+        assert ExactMatrix([nodes[i].coords for i in line]).rank() == 2
+        assert sorted(tetrad_of[i] for i in line) == [0, 1, 2]
+
+
+def test_node_moved_off_its_lines_has_no_partition(trio, lines):
+    nodes = steinerian_nodes(trio, lines)
+    x = nodes[0].coords
+    moved = [ProjPoint([x[0] + 1, x[1], x[2], x[3]])] + nodes[1:]
+    # the 4 lines through the moved node are gone, and no new one appears
+    with pytest.raises(NoDesmicPartitionError, match="found 12 desmic lines"):
+        desmic_partition(moved)
+
+
+def _dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), rat(0))
+
+
+def _probe_partition(nodes):
+    """Oracle for desmic_partition that does not use the desmic lines.
+
+    A partition of the 12 nodes is a candidate when the face products of its
+    tetrads, evaluated at 3 probes, are linearly dependent; those values come
+    from one covector per node triple, each known only up to scale, which
+    changes neither which tetrads are degenerate nor whether the 3x3 probe
+    determinant vanishes.  Candidates are confirmed on the exact face-plane
+    products, and exactly one must pass.
+    """
+    probes = [(rat(1), rat(2), rat(3), rat(5)), (rat(1), rat(-1), rat(2), rat(7)),
+              (rat(2), rat(3), rat(-5), rat(1))]
+    faces = {}
+    for triple in itertools.combinations(range(12), 3):
+        h = signed_minors([nodes[i].coords for i in triple])
+        faces[triple] = (h, [_dot(h, p) for p in probes])
+    tetrads = {}
+    for combo in itertools.combinations(range(12), 4):
+        # the 4x4 determinant of the tetrad is +- face . opposite vertex
+        if not _dot(faces[combo[1:]][0], nodes[combo[0]].coords):
+            continue
+        values = [rat(1)] * len(probes)
+        for i in range(4):
+            face_values = faces[combo[:i] + combo[i + 1:]][1]
+            values = [v * f for v, f in zip(values, face_values)]
+        tetrads[combo] = values
+    found = []
+    deg4 = monomials(4, 4)
+    for part in _partitions_into_tetrads(12):
+        if any(t not in tetrads for t in part):
+            continue
+        if det3([tetrads[t] for t in part]):
+            continue
+        rows = [_face_product([nodes[i] for i in t]).coeff_vector(deg4)
+                for t in part]
+        if ExactMatrix(rows).rank() == 2:
+            found.append(part)
+    assert len(found) == 1
+    return found[0]
+
+
+@pytest.mark.parametrize("which", ["session", "eckardt"])
+def test_desmic_partition_matches_probe_oracle(request, which, sorted_trios):
+    s = request.getfixturevalue(which)
+    for trio in sorted_trios[:3]:
+        nodes = steinerian_nodes(trio, s.lines)
+        assert desmic_partition(nodes) == _probe_partition(nodes)
 
 
 def test_web_dimension_four(web):
@@ -156,7 +234,7 @@ def test_first_webs_on_eckardt_surface(eckardt, sorted_trios):
     for trio in sorted_trios[:3]:
         web = quadric_web(eckardt.surface, trio, eckardt.lines,
                           eckardt.planes[trio])
-        quartic = steinerian(eckardt.surface, web, eckardt.lines)
+        quartic = steinerian(eckardt.surface, web)
         assert len(web.basis) == 4
         assert len(quartic.nodes) == 12
         assert sorted(i for t in web.tetrads for i in t) == list(range(12))
