@@ -41,10 +41,31 @@ def is_rational(x):
 
 
 def inverse(x):
-    """The multiplicative inverse of a rational or of a tower element."""
+    """The multiplicative inverse of a rational or of a tower element; an
+    integer's is the exact rational 1/x."""
     if isinstance(x, FieldElement):
         return x.inverse()
-    return 1 / x
+    return 1 / x if type(x) is _mpq else _mpq(1, x)
+
+
+def clear_denominators(values):
+    """(m, [m * x for x in values]) for the least positive integer m that
+    makes every value integral: rationals become integers, elements of a
+    level over Q get denominator 1.  Values on a higher level come back
+    unchanged, with m = 1.  Products, sums and zero tests of the cleared
+    values then need no gcd."""
+    dens = []
+    for x in values:
+        if type(x) is FieldElement:
+            if x.num is None:
+                return 1, list(values)
+            dens.append(x.den)
+        else:
+            dens.append(x.denominator)
+    m = lcm(*dens)
+    return m, [_over_q(x.tower, tuple(n * (m // d) for n in x.num), 1)
+               if type(x) is FieldElement else x.numerator * (m // d)
+               for x, d in zip(values, dens)]
 
 
 def rat_str(x):

@@ -9,11 +9,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .field import rat
-from .linalg import ExactMatrix
-from .projgeom import (ProjPoint, ProjPlane, ProjLine, meet_planes, meet_lines,
-                       plane_through_line)
-from .blowup import lines_meet
+from .field import rat, clear_denominators
+from .linalg import signed_minors
+from .projgeom import (ProjPoint, ProjPlane, ProjLine, EqualLinesError,
+                       meet_planes, meet_coplanar, plucker_vector, lines_meet)
 
 
 class NotAHexagon(ValueError):
@@ -36,10 +35,7 @@ class HexagramConfig:
     cremona_pairs: list   # (key1, key2) sharing exactly one index
     pascal_lines: dict    # cremona pair -> ProjLine (intersection, off X)
     shared_pairs: list    # disjoint-index plane pairs, sharing a surface line
-
-    def lines_in_plane(self, key):
-        return [part for part in self.lines15
-                if tuple(sorted(key)) in part]
+    hexagons: dict        # cremona pair -> its 6 surface lines as a hexagon
 
 
 def hexagram_config(hexform, surface, lines):
@@ -49,6 +45,7 @@ def hexagram_config(hexform, surface, lines):
     and verified geometrically); plane pairs sharing one index meet along a
     line off the surface (Cremona pairs, 60 of them); disjoint-index pairs
     meet along the surface line of the partition containing both (45).
+    Each Cremona pair's 6 lines are ordered as a hexagon once, here.
     """
     from .forms import hexahedral_lines
     matched, _ = hexahedral_lines(hexform, lines)
@@ -81,8 +78,35 @@ def hexagram_config(hexform, surface, lines):
             shared.append((k1, k2))
     if len(cremona) != 60 or len(shared) != 45:
         raise ValueError("unexpected pair counts")
+    hexagons = {}
+    for pair in cremona:
+        tri1, tri2 = ([line for part, line in lines15.items()
+                       if tuple(sorted(key)) in part] for key in pair)
+        hexagons[pair] = _hexagon(tri1, tri2)
     return HexagramConfig(hexform, planes, matched, lines15, cremona, pascal,
-                          shared)
+                          shared, hexagons)
+
+
+def _hexagon(tri1, tri2):
+    """The 6 lines of two coplanar trios in cyclic side order.
+
+    In space they meet as two triangles (one per plane) joined by a perfect
+    matching; the hexagon is tri1 followed by each line's partner, so that
+    opposite sides (cycle distance 3) are the matched cross pairs.
+    """
+    for tri in (tri1, tri2):
+        for a, b in itertools.combinations(tri, 2):
+            if not lines_meet(a, b):
+                raise NotAHexagon("coplanar trio fails to form a triangle")
+    match = []
+    for a in tri1:
+        partners = [b for b in tri2 if lines_meet(a, b)]
+        if len(partners) != 1:
+            raise NotAHexagon("cross meets are not a perfect matching")
+        match.append(partners[0])
+    if len(set(match)) != 3:
+        raise NotAHexagon("cross meets are not a perfect matching")
+    return tri1 + match
 
 
 def pentahedra(config):
@@ -105,13 +129,6 @@ def pentahedra(config):
     return penta
 
 
-def _project_line(line, center, screen):
-    if line.contains(center):
-        raise DegenerateCenter("center lies on a projected line")
-    wall = plane_through_line(line, center)
-    return meet_planes(wall, screen)
-
-
 @dataclass
 class HexagramReport:
     pair: tuple
@@ -125,64 +142,75 @@ class HexagramReport:
 
 
 def project_hexagram(surface, config, pair, center, screen):
-    """Project the 6 surface lines of a Cremona pair into a hexagon.
+    """Project the hexagon of a Cremona pair from a center on the surface.
 
-    The in-space meet graph of the 6 lines is two triangles (one per plane)
-    joined by a perfect matching; the hexagon is ordered so that opposite
-    sides (cycle distance 3) are the matched cross pairs.  The three points
-    where opposite sides meet are exactly collinear, on the projection of
-    the pair's Pascal line.
+    The central projection pi(x) = (s.c) x - (s.x) c, s the screen and c the
+    center, maps each side's spanning points into the screen on integral
+    coordinates; a center on a side leaves them dependent.  The projected
+    sides meet in the screen by meet_coplanar.  The three points where
+    opposite sides meet are exactly collinear, on the projection of the
+    pair's Pascal line.
     """
-    k1, k2 = pair
-    tri1 = [config.lines15[p] for p in config.lines_in_plane(k1)]
-    tri2 = [config.lines15[p] for p in config.lines_in_plane(k2)]
     if not surface.contains_point(center):
         raise DegenerateCenter("center is not on the surface")
-    for line in tri1 + tri2:
-        if line.contains(center):
-            raise DegenerateCenter("center lies on a hexagon line")
+    c = clear_denominators(center.coords)[1]
     for key in pair:
-        if config.planes[key].contains(center):
+        if not _dot(clear_denominators(config.planes[key].coeffs)[1], c):
             raise DegenerateCenter("center lies on a plane of the pair")
-    if screen.contains(center):
+    s = clear_denominators(screen.coeffs)[1]
+    sc = _dot(s, c)
+    if not sc:
         raise DegenerateCenter("screen passes through the center")
-    for a, b in itertools.combinations(tri1, 2):
-        if not lines_meet(a, b):
-            raise NotAHexagon("coplanar trio fails to form a triangle")
-    for a, b in itertools.combinations(tri2, 2):
-        if not lines_meet(a, b):
-            raise NotAHexagon("coplanar trio fails to form a triangle")
-    match = {}
-    for a in tri1:
-        partners = [b for b in tri2 if lines_meet(a, b)]
-        if len(partners) != 1:
-            raise NotAHexagon("cross meets are not a perfect matching")
-        match[a] = partners[0]
-    if len(set(match.values())) != 3:
-        raise NotAHexagon("cross meets are not a perfect matching")
-    sides = [tri1[0], tri1[1], tri1[2],
-             match[tri1[0]], match[tri1[1]], match[tri1[2]]]
-    projected = [_project_line(l, center, screen) for l in sides]
-    vertices = [_meet_in_screen(projected[i], projected[(i + 1) % 6], screen)
+    sides = config.hexagons[pair]
+    projected = [_project_line(line, s, c, sc) for line in sides]
+    vertices = [_meet_in_screen(projected[i], projected[(i + 1) % 6])
                 for i in range(6)]
-    diag = [_meet_in_screen(projected[i], projected[i + 3], screen)
-            for i in range(3)]
-    if ExactMatrix([list(p.coords) for p in diag]).rank() != 2:
+    diag = [_meet_in_screen(projected[i], projected[i + 3]) for i in range(3)]
+    diag_plucker = plucker_vector(diag[0], diag[1])
+    if not any(diag_plucker) or any(signed_minors(diag)):
         raise ValueError("diagonal points are not collinear")
-    diag_line = ProjLine(diag[0], diag[1])
-    pascal = config.pascal_lines[pair]
-    pascal_proj = _project_line(pascal, center, screen)
-    if diag_line != pascal_proj:
+    pascal = _project_line(config.pascal_lines[pair], s, c, sc)
+    if not _proportional(diag_plucker, pascal[2]):
         raise ValueError("diagonal line is not the projected Pascal line")
-    return HexagramReport(pair, center, screen, sides, vertices, diag,
-                          diag_line, pascal_proj)
+    diag = [ProjPoint(x) for x in diag]
+    return HexagramReport(pair, center, screen, sides,
+                          [ProjPoint(x) for x in vertices], diag,
+                          ProjLine(diag[0], diag[1]),
+                          ProjLine(ProjPoint(pascal[0]), ProjPoint(pascal[1])))
 
 
-def _meet_in_screen(l1, l2, screen):
-    """The common point of two lines inside the screen plane."""
-    if l1 == l2:
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3]
+
+
+def _project_line(line, s, c, sc):
+    """(pi(p), pi(q), their Plucker vector) for the line's spanning points p
+    and q, with pi(x) = (s.c) x - (s.x) c the point where the line cx meets
+    the screen s, on integral coordinates, given sc = s.c.  A center on the
+    line leaves pi(p) and pi(q) dependent: DegenerateCenter."""
+    points = []
+    for x in (line.p, line.q):
+        x = clear_denominators(x.coords)[1]
+        sx = _dot(s, x)
+        points.append([sc * a - sx * b for a, b in zip(x, c)])
+    v = plucker_vector(*points)
+    if not any(v):
+        raise DegenerateCenter("center lies on a projected line")
+    return points[0], points[1], v
+
+
+def _proportional(u, v):
+    """Whether v is a nonzero multiple of the nonzero vector u."""
+    k = next(i for i, x in enumerate(u) if x)
+    return bool(v[k]) and not any(v[k] * x - u[k] * y for x, y in zip(u, v))
+
+
+def _meet_in_screen(side1, side2):
+    """The common point of two projected sides, each (p, q, Plucker vector)."""
+    try:
+        return meet_coplanar(side1[0], side1[1], side2[2])
+    except EqualLinesError:
         raise NotAHexagon("adjacent sides project to the same line")
-    return meet_lines(l1, l2)
 
 
 def default_screen(center):

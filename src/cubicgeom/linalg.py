@@ -111,13 +111,63 @@ def det3(rows):
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
+def _minors(rows):
+    """The 3x3 minors of a 3x4 matrix, without column 0, 1, 2, 3 in turn."""
+    for k in range(4):
+        yield det3([[row[c] for c in range(4) if c != k] for row in rows])
+
+
 def signed_minors(rows):
     """v_k = (-1)^k * (the minor of a 3x4 matrix without column k): a vector
     every row annihilates, zero exactly when the rank is below 3.  Entries
     may be scalars or polynomials."""
-    minors = [det3([[row[c] for c in range(4) if c != k] for row in rows])
-              for k in range(4)]
-    return [-m if k % 2 else m for k, m in enumerate(minors)]
+    return [-m if k % 2 else m for k, m in enumerate(_minors(rows))]
+
+
+def rank_below_3(rows):
+    """Whether a 3x4 matrix has rank below 3, stopping at the first nonzero
+    3x3 minor."""
+    return not any(_minors(rows))
+
+
+def det4(m):
+    """The determinant of a 4x4 matrix by +, - and * alone: Laplace
+    expansion along rows 0 and 1, each 2x2 minor of those rows times the
+    complementary minor of rows 2 and 3."""
+    total = 0
+    for (a, b), (c, d) in _COMPLEMENTS:
+        top = m[0][a] * m[1][b] - m[0][b] * m[1][a]
+        if top:
+            total = total + top * (m[2][c] * m[3][d] - m[2][d] * m[3][c])
+    return total
+
+
+# Column pairs of rows 0-1 with their complements, each complement ordered
+# so that its minor carries the Laplace sign (-1)^(1 + a + b).
+_COMPLEMENTS = [((0, 1), (2, 3)), ((0, 2), (3, 1)), ((0, 3), (1, 2)),
+                ((1, 2), (0, 3)), ((1, 3), (2, 0)), ((2, 3), (0, 1))]
+
+
+def integral_rank(rows):
+    """The rank of a matrix by elimination with +, - and * alone, for
+    integers or elements with denominator 1: a row r below the pivot row s
+    becomes p*r - r[col]*s, p the pivot, so nothing is divided and no
+    denominator appears."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        p = top[col]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            if f:
+                rows[i] = [p * x - f * y for x, y in zip(rows[i], top)]
+        rank += 1
+    return rank
 
 
 def cross3(u, v):

@@ -98,9 +98,7 @@ class ProjLine:
     __slots__ = ("p", "q", "plucker")
 
     def __init__(self, p, q):
-        pc, qc = p.coords, q.coords
-        raw = [pc[i] * qc[j] - pc[j] * qc[i]
-               for i in range(4) for j in range(i + 1, 4)]
+        raw = plucker_vector(p.coords, q.coords)
         if not any(raw):
             raise ValueError("points do not span a line")
         self.p = p
@@ -111,14 +109,8 @@ class ProjLine:
         return ProjPoint([s * a + t * b for a, b in zip(self.p.coords, self.q.coords)])
 
     def contains(self, point):
-        """Whether the point lies on the line: the 3x3 minors of the matrix
-        of p, q and x vanish, each p_ij x_k - p_ik x_j + p_jk x_i for
-        i < j < k in Plucker coordinates."""
-        v, x = self.plucker, point.coords
-        return not (v[0] * x[2] - v[1] * x[1] + v[3] * x[0]
-                    or v[0] * x[3] - v[2] * x[1] + v[4] * x[0]
-                    or v[1] * x[3] - v[2] * x[2] + v[5] * x[0]
-                    or v[3] * x[3] - v[4] * x[2] + v[5] * x[1])
+        """Whether the point lies on the line: its four incidences vanish."""
+        return not any(incidences(self.plucker, point.coords))
 
     def __eq__(self, other):
         return isinstance(other, ProjLine) and self.plucker == other.plucker
@@ -203,15 +195,43 @@ def lines_meet(l1, l2):
     return not plucker_pairing(l1, l2)
 
 
+def incidences(v, x):
+    """The four incidences p_ij x_k - p_ik x_j + p_jk x_i (i < j < k) of a
+    point x and the line of Plucker vector v, lazily: the 3x3 minors of the
+    matrix of two points of the line and x.  Each is the value at x of a
+    plane through the line, and x lies on the line exactly when all vanish."""
+    yield v[0] * x[2] - v[1] * x[1] + v[3] * x[0]
+    yield v[0] * x[3] - v[2] * x[1] + v[4] * x[0]
+    yield v[1] * x[3] - v[2] * x[2] + v[5] * x[0]
+    yield v[3] * x[3] - v[4] * x[2] + v[5] * x[1]
+
+
+def plucker_vector(p, q):
+    """The Plucker vector of the line through p and q, unscaled, in the
+    order (01, 02, 03, 12, 13, 23); zero when p and q are dependent."""
+    return [p[i] * q[j] - p[j] * q[i]
+            for i in range(4) for j in range(i + 1, 4)]
+
+
+def meet_coplanar(p, q, v):
+    """Coordinates of the meet of the line through p and q with a coplanar
+    line of Plucker vector v, by +, - and * alone.  The first incidence of v
+    that is nonzero at p or q is a plane through v's line that misses pq, and
+    it meets pq at c(q) p - c(p) q; that point must pass all four incidences.
+    Raises EqualLinesError if the lines coincide, ValueError if they are
+    skew."""
+    for cp, cq in zip(incidences(v, p), incidences(v, q)):
+        if cp or cq:
+            x = [cq * a - cp * b for a, b in zip(p, q)]
+            if any(incidences(v, x)):
+                raise ValueError("lines do not meet in a single point")
+            return x
+    raise EqualLinesError("lines coincide")
+
+
 def meet_lines(l1, l2):
     """The intersection point of two distinct meeting lines."""
-    m = ExactMatrix([[l1.p.coords[i], l1.q.coords[i],
-                      -l2.p.coords[i], -l2.q.coords[i]] for i in range(4)])
-    kern = m.kernel_basis()
-    if len(kern) != 1:
-        raise ValueError("lines do not meet in a single point")
-    s, t = kern[0][0], kern[0][1]
-    return l1.point_at(s, t)
+    return ProjPoint(meet_coplanar(l1.p.coords, l1.q.coords, l2.plucker))
 
 
 def plucker_relation_holds(line):

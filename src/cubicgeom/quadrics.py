@@ -8,8 +8,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .field import rat, inverse
-from .linalg import ExactMatrix, signed_minors
+from .field import rat, inverse, clear_denominators
+from .linalg import (ExactMatrix, signed_minors, rank_below_3, det4,
+                     integral_rank)
 from .multipoly import MultiPoly, monomials, eval_monomial, ratio
 from .projgeom import ProjPlane, span_plane, meet_lines
 from . import incidence as inc
@@ -32,22 +33,32 @@ class NoDesmicPartitionError(ValueError):
 
 
 QUADRIC_MONOMIALS = monomials(4, 2)
+_UPPER = [(r, c) for r in range(4) for c in range(r, 4)]
+
+
+def _symmetric(entries):
+    """The symmetric 4x4 matrix with the given upper-triangle entries."""
+    mat = [[None] * 4 for _ in range(4)]
+    for (r, c), x in zip(_UPPER, entries):
+        mat[r][c] = mat[c][r] = x
+    return mat
 
 
 class QuadricSurface:
     """A quadric as a canonicalized symmetric 4x4 matrix: the given matrix
-    divided by its first nonzero entry, which is kept as `lead`.  Equality
-    and hashing read `mat` only."""
+    divided by its first nonzero entry, which is kept as `lead`.  Only the
+    upper triangle is divided and read: equality and hashing compare its 10
+    entries, kept as `upper`."""
 
-    __slots__ = ("mat", "lead")
+    __slots__ = ("mat", "lead", "upper")
 
     def __init__(self, mat):
-        lead = next((mat[r][c] for r in range(4) for c in range(4) if mat[r][c]),
-                    None)
+        lead = next((mat[r][c] for r, c in _UPPER if mat[r][c]), None)
         if lead is None:
             raise ValueError("zero quadric")
         inv = inverse(lead)
-        self.mat = tuple(tuple(x * inv for x in row) for row in mat)
+        self.upper = tuple(mat[r][c] * inv for r, c in _UPPER)
+        self.mat = tuple(map(tuple, _symmetric(self.upper)))
         self.lead = lead
 
     @classmethod
@@ -80,10 +91,10 @@ class QuadricSurface:
         return [q.coefficient(m) for m in QUADRIC_MONOMIALS]
 
     def __eq__(self, other):
-        return isinstance(other, QuadricSurface) and self.mat == other.mat
+        return isinstance(other, QuadricSurface) and self.upper == other.upper
 
     def __hash__(self):
-        return hash(self.mat)
+        return hash(self.upper)
 
 
 def _restrict_to_plane(form, plane):
@@ -141,10 +152,13 @@ def _face_product(tetrad):
 
 
 def desmic_lines(nodes):
-    """The 16 lines of the desmic system, as the node triples whose 4 signed
-    minors all vanish; any other count raises NoDesmicPartitionError."""
+    """The 16 lines of the desmic system, as the node triples of rank 2; the
+    nodes are cleared to integral coordinates, and a triple's 3x3 minors are
+    taken only up to the first nonzero one.  Any other count raises
+    NoDesmicPartitionError."""
+    coords = [clear_denominators(n.coords)[1] for n in nodes]
     found = [t for t in itertools.combinations(range(len(nodes)), 3)
-             if not any(signed_minors([nodes[i].coords for i in t]))]
+             if rank_below_3([coords[i] for i in t])]
     if len(found) != 16:
         raise NoDesmicPartitionError(f"found {len(found)} desmic lines")
     return found
@@ -288,21 +302,10 @@ def steinerian(surface, web):
     return SteinerianQuartic(web.quartic, web.nodes)
 
 
-_UPPER = [(r, c) for r in range(4) for c in range(r, 4)]
-
-
-def _symmetric(entries):
-    """The symmetric 4x4 matrix with the given upper-triangle entries."""
-    mat = [[None] * 4 for _ in range(4)]
-    for (r, c), x in zip(_UPPER, entries):
-        mat[r][c] = mat[c][r] = x
-    return mat
-
-
 def _product_entries(u, v):
-    """Upper-triangle entries of the matrix of the quadric u*v."""
-    half = rat(1, 2)
-    return [u[r] * v[r] if r == c else (u[r] * v[c] + u[c] * v[r]) * half
+    """Upper-triangle entries of twice the matrix of the quadric u*v, which
+    stay integral on integral covectors."""
+    return [2 * u[r] * v[r] if r == c else u[r] * v[c] + u[c] * v[r]
             for r, c in _UPPER]
 
 
@@ -313,33 +316,52 @@ def _pencil_members(trio, planes):
             for _, others in inc.trios_through(trio)]
 
 
-def _trilinear_quadrics(surface, plane, members):
-    """The residual quadrics of all 64 triples of pencil members, unscaled,
-    as upper-triangle entries in itertools.product order.
+def _pencil_weights(h, o, m):
+    """(a, b) with a*h + b*o a nonzero multiple of m, by Cramer's rule on the
+    first nonzero 2x2 minor of (h, o) and checked on all four coordinates;
+    NoSolutionError if m is not in the pencil of h and o."""
+    for r, s in itertools.combinations(range(4), 2):
+        det = h[r] * o[s] - h[s] * o[r]
+        if det:
+            a, b = m[r] * o[s] - m[s] * o[r], h[r] * m[s] - h[s] * m[r]
+            if any(a * x + b * y - det * z for x, y, z in zip(h, o, m)):
+                break
+            return a, b
+    raise NoSolutionError("a member is not in the pencil of its line")
 
-    Each member through line i is a*plane + b*o_i, with o_i the first one.
-    The residual quadric is trilinear in the three (a, b): a corner with a
-    plane factor is the product of the other two linear forms, and only the
-    (o_1, o_2, o_3) corner needs residual_quadric.
+
+def _trilinear_quadrics(surface, plane, members):
+    """The residual quadrics of all 64 triples of pencil members, each up to
+    a nonzero factor, as upper-triangle entries in itertools.product order.
+
+    Every covector is first cleared to integral coordinates: the plane by
+    lambda, o_i (the first member through line i) by mu_i.  Each member is
+    then a*plane + b*o_i, up to a factor, and the residual quadric is
+    trilinear in the three (a, b): a corner with a plane factor is the
+    product of the other two linear forms, taken twice so that it needs no
+    half, and only the (o_1, o_2, o_3) corner needs residual_quadric,
+    rescaled by 2 mu_1 mu_2 mu_3 / lambda to match.  All 8 corners are then
+    scaled by one common denominator, so the contraction runs on integers
+    (on elements with denominator 1 over an extension of Q).
     """
+    lam, h = clear_denominators(plane.coeffs)
     fixed = [m[0] for m in members]
-    weights = []
+    scale, factors, weights = rat(2, lam), [], []
     for o, ms in zip(fixed, members):
-        pencil = ExactMatrix([plane.coeffs, o.coeffs]).transpose()
-        ab = [pencil.solve(list(h.coeffs)) for h in ms]
-        if None in ab:
-            raise NoSolutionError("a member is not in the pencil of its line")
-        weights.append(ab)
+        mu, oc = clear_denominators(o.coeffs)
+        scale *= mu
+        factors.append((h, oc))
+        weights.append([_pencil_weights(h, oc, clear_denominators(m.coeffs)[1])
+                        for m in ms])
     q, _ = residual_quadric(surface, plane, fixed)
-    factors = [(plane.coeffs, o.coeffs) for o in fixed]
-    table = {}
+    scale *= q.lead
+    den, top = clear_denominators([scale * q.mat[r][c] for r, c in _UPPER])
+    table = {(1, 1, 1): top}
     for corner in itertools.product((0, 1), repeat=3):
-        if corner == (1, 1, 1):
-            table[corner] = [q.lead * q.mat[r][c] for r, c in _UPPER]
-        else:
+        if corner != (1, 1, 1):
             drop = corner.index(0)
             u, v = (factors[i][s] for i, s in enumerate(corner) if i != drop)
-            table[corner] = _product_entries(u, v)
+            table[corner] = [den * x for x in _product_entries(u, v)]
     # contract the corner index of each pencil in turn with its 4 members
     for i, ab in enumerate(weights):
         table = {key[:i] + (j,) + key[i + 1:]:
@@ -352,7 +374,11 @@ def _trilinear_quadrics(surface, plane, members):
 
 def six_line_quadric_census(surface, planes):
     """For each tritangent plane, the 64 residual quadrics of tritangent
-    pencil members, with per-set nonsingular counts and global deduplication."""
+    pencil members, with per-set nonsingular counts and global deduplication.
+
+    The quadrics come integral from _trilinear_quadrics; nonsingularity is
+    det4 and a singular quadric's rank is integral_rank, so no entry is
+    divided until a nonsingular quadric is canonicalized as its key."""
     per_set = {}
     membership = {}
     for trio in inc.TRITANGENT_TRIOS:
@@ -361,12 +387,12 @@ def six_line_quadric_census(surface, planes):
         for entries in _trilinear_quadrics(surface, planes[trio],
                                            _pencil_members(trio, planes)):
             mat = _symmetric(entries)
-            if ExactMatrix(mat).det():
+            if det4(mat):
                 q = QuadricSurface(mat)
                 nonsingular.append(q)
                 membership.setdefault(q, set()).add(trio)
             else:
-                singular_ranks.append(ExactMatrix(mat).rank())
+                singular_ranks.append(integral_rank(mat))
         per_set[trio] = {"nonsingular": nonsingular,
                          "singular_ranks": sorted(singular_ranks)}
     distinct = set(membership)

@@ -3,8 +3,10 @@ import random
 import pytest
 
 from cubicgeom.field import (QQ, FieldElement, FieldTower, ZeroDivisorError,
-                             rat, rat_str, is_rational, scalar_from_json,
+                             mpq, rat, rat_str, is_rational, scalar_from_json,
+                             inverse, clear_denominators,
                              _poly_divmod, _poly_mul, _poly_xgcd)
+from cubicgeom.projgeom import ProjPoint
 
 
 def test_rat_exact():
@@ -195,3 +197,39 @@ def test_levels_pad_with_one_cached_zero():
     y = tower.base.embed(rat(4, 6)) + tower.base.gen() * rat(2, 9)
     assert (y.num, y.den) == ((6, 2), 9)
     assert (-y / 2).den == 9 and (y * 0).den == 1
+
+
+def test_inverse_is_exact_for_int_mpq_and_tower_elements():
+    for x in (3, -4):
+        inv = inverse(x)
+        assert type(inv) is mpq and inv * x == 1
+    assert inverse(3) == rat(1, 3)
+    assert inverse(rat(-2, 7)) == rat(-7, 2) and type(inverse(rat(2, 7))) is mpq
+    tower, i, t = _gauss_cbrt2()
+    for x in (1 + 2 * i, _gauss_over_q().gen() + 3, t - i):
+        assert inverse(x) * x == 1
+    with pytest.raises(ZeroDivisionError):
+        inverse(0)
+
+
+def test_point_of_integer_coordinates_holds_exact_rationals():
+    point = ProjPoint([2, 4, 6, 8])
+    assert all(type(c) is mpq for c in point.coords)
+    assert point.coords == (1, 2, 3, 4)
+    assert ProjPoint([0, 3, 1, -2]).coords == (0, 1, rat(1, 3), rat(-2, 3))
+
+
+def test_clear_denominators_per_level():
+    m, cleared = clear_denominators([rat(1, 6), rat(-3, 4), 0, 5])
+    assert m == 12 and cleared == [2, -9, 0, 60]
+    assert all(type(c) is int for c in cleared)
+    gauss = _gauss_over_q()
+    i = gauss.gen()
+    values = [i / 6 + rat(1, 4), rat(2, 3), gauss.zero()]
+    m, cleared = clear_denominators(values)
+    assert m == 12
+    assert cleared == [12 * x for x in values]
+    assert [c.den for c in cleared if isinstance(c, FieldElement)] == [1, 1]
+    tower, i, t = _gauss_cbrt2()
+    values = [t / 2, i, rat(1, 3)]
+    assert clear_denominators(values) == (1, values)

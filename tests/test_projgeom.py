@@ -7,8 +7,9 @@ from cubicgeom.field import rat
 from cubicgeom.fixtures import gauss_tower
 from cubicgeom.projgeom import (ProjPoint, ProjPlane, ProjLine, span_plane,
                                 plane_through_line, meet_planes, meet_lines,
-                                meet_line_plane, lines_meet, plucker_pairing,
-                                plucker_relation_holds, CollinearError)
+                                meet_coplanar, meet_line_plane, lines_meet,
+                                plucker_pairing, plucker_relation_holds,
+                                CollinearError, EqualLinesError)
 
 
 def _pt(*xs):
@@ -38,6 +39,22 @@ def test_plucker_relation_and_meeting():
     assert not lines_meet(l1, l3)
     assert plucker_pairing(l1, l2) == 0
     assert meet_lines(l1, l2) == _pt(1, 0, 0, 0)
+
+
+def test_meet_lines_closed_form():
+    # through (1:1:1:1): one line on the x_3 = x_0 plane, one in x_2 = x_1
+    x = _pt(1, 1, 1, 1)
+    l1 = ProjLine(x, _pt(1, 2, 3, 1))
+    l2 = ProjLine(_pt(0, 1, 1, 5), x)
+    assert meet_lines(l1, l2) == x == meet_lines(l2, l1)
+    # integral coordinates in, integral coordinates out
+    point = meet_coplanar([1, 2, 3, 1], [3, 4, 5, 3], l2.plucker)
+    assert ProjPoint(point) == x
+    with pytest.raises(EqualLinesError):
+        meet_lines(l1, ProjLine(_pt(3, 4, 5, 3), _pt(1, 2, 3, 1)))
+    skew = ProjLine(_pt(0, 0, 1, 0), _pt(0, 0, 0, 1))
+    with pytest.raises(ValueError, match="do not meet"):
+        meet_lines(ProjLine(_pt(1, 0, 0, 0), _pt(0, 1, 0, 0)), skew)
 
 
 def test_meet_planes_and_line_plane():

@@ -217,6 +217,71 @@ def test_trilinear_quadrics_are_residual_quadrics(surface, planes,
         assert QuadricSurface(_symmetric(entries)) == expected
 
 
+def _fraction_census(surface, planes):
+    """Oracle for six_line_quadric_census: the census as computed on the
+    canonical rational (or tower) coordinates, with pencil weights from
+    ExactMatrix.solve, corner quadrics with halved cross terms, the
+    (o_1, o_2, o_3) corner rescaled by its lead only, and nonsingularity and
+    rank by ExactMatrix.det and ExactMatrix.rank."""
+    half = rat(1, 2)
+    upper = [(r, c) for r in range(4) for c in range(r, 4)]
+    census = {}
+    for trio in inc.TRITANGENT_TRIOS:
+        plane, members = planes[trio], _pencil_members(trio, planes)
+        fixed = [m[0] for m in members]
+        weights = []
+        for o, ms in zip(fixed, members):
+            pencil = ExactMatrix([plane.coeffs, o.coeffs]).transpose()
+            weights.append([pencil.solve(list(h.coeffs)) for h in ms])
+        q, _ = residual_quadric(surface, plane, fixed)
+        factors = [(plane.coeffs, o.coeffs) for o in fixed]
+        table = {}
+        for corner in itertools.product((0, 1), repeat=3):
+            if corner == (1, 1, 1):
+                table[corner] = [q.lead * q.mat[r][c] for r, c in upper]
+                continue
+            drop = corner.index(0)
+            u, v = (factors[i][s] for i, s in enumerate(corner) if i != drop)
+            table[corner] = [u[r] * v[r] if r == c
+                             else (u[r] * v[c] + u[c] * v[r]) * half
+                             for r, c in upper]
+        for i, ab in enumerate(weights):
+            table = {key[:i] + (j,) + key[i + 1:]:
+                     [a * x + b * y for x, y in
+                      zip(entries, table[key[:i] + (1,) + key[i + 1:]])]
+                     for key, entries in table.items() if key[i] == 0
+                     for j, (a, b) in enumerate(ab)}
+        nonsingular, ranks = [], []
+        for key in itertools.product(range(4), repeat=3):
+            mat = ExactMatrix(_symmetric(table[key]))
+            if mat.det():
+                nonsingular.append(QuadricSurface(mat.rows))
+            else:
+                ranks.append(mat.rank())
+        census[trio] = (nonsingular, sorted(ranks))
+    return census
+
+
+@pytest.mark.parametrize("which", ["session", "eckardt", "species2"])
+def test_census_matches_fraction_oracle(request, which):
+    # species 2 is an input over Q(i)
+    s = (request.getfixturevalue("species_sessions")[2] if which == "species2"
+         else request.getfixturevalue(which))
+    census = six_line_quadric_census(s.surface, s.planes)
+    oracle = _fraction_census(s.surface, s.planes)
+    membership = {}
+    for trio, (nonsingular, ranks) in oracle.items():
+        got = census["per_set"][trio]
+        # the same quadrics, one for one, in the same order
+        assert got["nonsingular"] == nonsingular
+        assert got["singular_ranks"] == ranks
+        for q in nonsingular:
+            membership.setdefault(q, set()).add(trio)
+    assert census["membership"] == membership
+    assert census["distinct"] == set(membership)
+    assert census["multiplicities"] == sorted(len(v) for v in membership.values())
+
+
 def test_eckardt_input_has_an_eckardt_point(eckardt):
     points, _ = intersection_point_grouping(eckardt.lines)
     assert len(set(points.values())) == 133
