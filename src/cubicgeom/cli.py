@@ -23,7 +23,7 @@ from .determinantal import (det_rep, grassmann_nets, grassmann_param,
                             param_lands_on_surface, cubo_cubic,
                             cubo_cubic_inverse, preserves_surface,
                             inverts_on_points, plane_image_cubic)
-from .quadrics import (quadric_web, steinerian, six_line_quadric_census,
+from .quadrics import (quadric_web, six_line_quadric_census,
                        intersection_point_grouping, residual_family_rank)
 from .hexagram import hexagram_config, pentahedra, verify_all_pairs
 from .species import conjugation_action, classify_species, involution_census
@@ -87,7 +87,9 @@ def load_points(path):
 
 class Session:
     """The surface chain of one input, each stage computed on first use and
-    kept: surface -> lines -> planes -> first_cs -> rep, first_cs -> hexforms.
+    kept: surface -> lines -> planes -> first_cs -> rep, first_cs -> hexforms
+    -> hexlines (the first form's 15 lines and double-six), and lines ->
+    grouping (the 135 line meets, and the 12 nodes of each trio).
     """
 
     def __init__(self, points):
@@ -100,6 +102,10 @@ class Session:
     @cached_property
     def lines(self):
         return labeled_lines(self.surface)
+
+    @cached_property
+    def grouping(self):
+        return intersection_point_grouping(self.lines)
 
     @cached_property
     def planes(self):
@@ -122,6 +128,10 @@ class Session:
     @property
     def hexform(self):
         return self.hexforms[0]
+
+    @cached_property
+    def hexlines(self):
+        return hexahedral_lines(self.hexform, self.lines)
 
 
 def _session(args):
@@ -199,7 +209,7 @@ def cmd_hexahedral(args):
                 f"forms per double-six: {report['forms_per_double_six'][0]}"
                 f"..{report['forms_per_double_six'][-1]}"]
         return report, text
-    matched, ds = hexahedral_lines(s.hexform, s.lines)
+    matched, ds = s.hexlines
     back = cs_from_hexahedral(s.hexform, s.surface)
     report = {"forms_found": len(s.hexforms), "c": scalar_to_json(s.hexform.c),
               "lines15": sorted(inc.label_str(l) for l in matched.values()),
@@ -260,14 +270,11 @@ def cmd_cubo_cubic(args):
 
 
 def _webs(s, census):
-    """(trio, web, Steinerian quartic) for the first 3 (census: all 45) trios."""
+    """The webs of the first 3 (census: all 45) trios, each on its group."""
     trios = sorted(inc.TRITANGENT_TRIOS,
                    key=lambda t: sorted(inc.LABEL_INDEX[l] for l in t))
-    webs = []
-    for trio in (trios if census else trios[:3]):
-        web = quadric_web(s.surface, trio, s.lines, s.planes[trio])
-        webs.append((trio, web, steinerian(s.surface, web)))
-    return webs
+    return [quadric_web(s.surface, trio, s.grouping[1][trio], s.planes[trio])
+            for trio in (trios if census else trios[:3])]
 
 
 def _census(s):
@@ -281,7 +288,7 @@ def _census(s):
 
 
 def _grouping(s):
-    points, groups = intersection_point_grouping(s.lines)
+    points, groups = s.grouping
     pcount = Counter(p for g in groups.values() for p in g)
     return {"points": len(set(points.values())), "groups": len(groups),
             "per_group": sorted({len(g) for g in groups.values()}),
@@ -291,18 +298,18 @@ def _grouping(s):
 def cmd_desmic(args):
     s = _session(args)
     webs = _webs(s, args.census)
-    trio0, web0, quartic0 = webs[0]
+    web0 = webs[0]
     per, distinct, mult = _census(s)
     grouping = _grouping(s)
-    rank8 = residual_family_rank(s.surface, trio0, s.planes)
+    rank8 = residual_family_rank(s.surface, web0.trio, s.planes)
     report = {
         "webs_checked": len(webs),
         "web_dimension": len(web0.basis),
         "residual_family_rank": rank8,
         "first_trio":
-            "{" + ",".join(map(inc.label_str, inc.label_order(trio0))) + "}",
-        "steinerian": _poly_json(quartic0.form, monomials(4, 4)),
-        "nodes": [n.to_json() for n in quartic0.nodes],
+            "{" + ",".join(map(inc.label_str, inc.label_order(web0.trio))) + "}",
+        "steinerian": _poly_json(web0.quartic, monomials(4, 4)),
+        "nodes": [n.to_json() for n in web0.nodes],
         "tetrads": [list(t) for t in web0.tetrads],
         "census_per_set": per,
         "census_distinct": distinct,
@@ -313,7 +320,7 @@ def cmd_desmic(args):
             f"{report['web_dimension']}; full residual family rank "
             f"{rank8})",
             f"first trio {report['first_trio']}: Steinerian quartic with "
-            f"{len(quartic0.nodes)} nodes, desmic tetrads "
+            f"{len(web0.nodes)} nodes, desmic tetrads "
             f"{report['tetrads']}",
             f"census: {per} nonsingular per set, {distinct} distinct, "
             f"multiplicities {mult}",
@@ -327,7 +334,7 @@ def cmd_desmic(args):
 def _hexagram(s, seed):
     """The hexagram configuration of the first hexahedral form, its
     pentahedra, and the projection check of all 60 pairs at 3 centers."""
-    config = hexagram_config(s.hexform, s.surface, s.lines)
+    config = hexagram_config(s.hexform, s.hexlines[0], s.surface, s.lines)
     reports = verify_all_pairs(s.surface, config, s.lines, seed=seed)
     return {"cremona_pairs": len(config.cremona_pairs),
             "shared_line_pairs": len(config.shared_pairs),
@@ -381,92 +388,87 @@ def cmd_group(args):
     return report, text
 
 
+def _hexahedral_seen(s, full):
+    """Match every form of the first pair to 15 lines (raising if one fails);
+    the first form's Cayley-Salmon splits, and with full all forms."""
+    s.hexlines
+    for hexform in s.hexforms[1:]:
+        hexahedral_lines(hexform, s.lines)
+    seen = {"splits": len(cs_from_hexahedral(s.hexform, s.surface))}
+    if full:
+        forms, by_ds = all_hexahedral_forms(s.surface, s.lines, s.planes)
+        seen.update(forms=len(forms), double_sixes=len(by_ds))
+    return seen
+
+
 def cmd_verify_all(args):
     s = _session(args)
     s.planes  # a surface without 27 lines or 45 planes is a domain error
-
-    def hex_check():
-        for hexform in s.hexforms:
-            hexahedral_lines(hexform, s.lines)
-        if len(cs_from_hexahedral(s.hexform, s.surface)) != 10:
-            return False
-        if args.full:
-            forms, by_ds = all_hexahedral_forms(s.surface, s.lines, s.planes)
-            return len(forms) == 360 and len(by_ds) == 36
-        return True
-
-    def cubo_check():
-        report = _cubo_cubic(s, args.seed)
-        return (report["preserves_surface"]
-                and report["inverse_composes_to_identity"]
-                and report["plane_image_cubic_kernel"] == 1)
-
-    def hexagram_check():
-        report = _hexagram(s, args.seed)
-        return (report["cremona_pairs"] == 60
-                and report["projections_verified"] == 180)
-
-    def species_check():
-        # (real lines, real tritangents, double-sixes fixed, swapped)
-        profiles = {1: (27, 45, 36, 0), 2: (15, 15, 15, 1), 3: (7, 5, 6, 2),
-                    4: (3, 7, 1, 3), 5: (3, 13, 0, 12)}
-        for k in (1, 2, 3, 4):
-            rep = _species(species_points(k))
-            if (rep.species, rep.profile) != (k, profiles[k]):
-                return False
-        return set(profiles.values()) <= set(involution_census())
-
+    full, census, seed = args.full, args.census, args.seed
+    # (real lines, real tritangents, double-sixes fixed, swapped), species 1-5
+    profiles = [(27, 45, 36, 0), (15, 15, 15, 1), (7, 5, 6, 2), (3, 7, 1, 3),
+                (3, 13, 0, 12)]
+    # (claim, observation of the session, expected observation)
     claims = [
-        ("27 distinct lines with the expected incidence table",
-         lambda: len(set(s.lines.values())) == 27 and all(
-             met == inc.meets_rule(l1, l2)
-             for (l1, l2), met in incidence_table(s.lines).items())),
+        ("27 distinct lines with the expected incidence table", lambda s: (
+            len(set(s.lines.values())), {p for p, met in incidence_table(
+                s.lines).items() if met != inc.meets_rule(*p)}), (27, set())),
         ("45 tritangent planes, 36 double-sixes split 1/15/20, "
-         "120 trieder pairs, 40 triads",
-         lambda: _counts(s) == {
-             "tritangent_planes": 45, "double_sixes": 36,
-             "double_six_family_split": {"1": 1, "2": 15, "3": 20},
-             "trieder_pairs": 120, "triads": 40}),
+         "120 trieder pairs, 40 triads", _counts,
+         {"tritangent_planes": 45, "double_sixes": 36,
+          "double_six_family_split": {"1": 1, "2": 15, "3": 20},
+          "trieder_pairs": 120, "triads": 40}),
         ("Cayley-Salmon identity F = lambda*PQR + mu*STU",
-         lambda: _cayley_salmon_pairs(s, args.full) > 0),
+         lambda s: _cayley_salmon_pairs(s, full), 120 if full else 12),
         ("hexahedral form: sum x_i = 0, sum x_i^3 = c*F, 15 lines, "
-         "complementary double-six, 10 Cayley-Salmon splits", hex_check),
+         "complementary double-six, 10 Cayley-Salmon splits",
+         lambda s: _hexahedral_seen(s, full),
+         {"splits": 10, **({"forms": 360, "double_sixes": 36} if full else {})}),
         ("determinantal form det M = kappa*F with parametrization on the "
-         "surface", lambda: _param_on_surface(s)),
+         "surface", _param_on_surface, True),
         ("cubo-cubic transformation preserves the surface and inverts "
-         "exactly", cubo_check),
+         "exactly", lambda s: _cubo_cubic(s, seed),
+         {"preserves_surface": True, "inverse_composes_to_identity": True,
+          "plane_image_cubic_kernel": 1}),
         ("4-dimensional quadric web with a 12-nodal Steinerian quartic and "
          "a unique desmic partition",
-         lambda: all(len(web.basis) == 4
-                     for _, web, _ in _webs(s, args.census))),
+         lambda s: {len(web.basis) for web in _webs(s, census)}, {4}),
         ("45 sets of 48 nonsingular quadrics, 360 distinct, each in 6 sets",
-         lambda: _census(s) == ({"48": 45}, 360, {"6": 360})),
+         _census, ({"48": 45}, 360, {"6": 360})),
         ("135 intersection points in 45 groups of 12, each point in 4 "
-         "groups", lambda: _grouping(s) == {"points": 135, "groups": 45,
-                                            "per_group": [12],
-                                            "memberships": [4]}),
+         "groups", _grouping,
+         {"points": 135, "groups": 45, "per_group": [12], "memberships": [4]}),
         ("60 Cremona pairs with 3 collinear diagonal points on the "
-         "projected Pascal line", hexagram_check),
-        ("group of order 51840 with orbits 27, 36, 45, 40",
-         lambda: _group() == {"order": 51840, "orbits": {
-             "lines": 27, "double_sixes": 36, "tritangents": 45,
-             "triads": 40}}),
+         "projected Pascal line", lambda s: _hexagram(s, seed),
+         {"cremona_pairs": 60, "projections_verified": 180}),
+        ("group of order 51840 with orbits 27, 36, 45, 40", lambda s: _group(),
+         {"order": 51840, "orbits": {"lines": 27, "double_sixes": 36,
+                                     "tritangents": 45, "triads": 40}}),
         ("species 1-4 fixtures classified; census holds all five reality "
-         "profiles", species_check),
+         "profiles", lambda s: (
+             [(r.species, r.profile) for r in
+              (_species(species_points(k)) for k in (1, 2, 3, 4))],
+             set(profiles) - set(involution_census())),
+         (list(enumerate(profiles[:4], 1)), set())),
     ]
-    results = []
-    for claim, check in claims:
+    results, text = [], []
+    for claim, observe, expected in claims:
         try:
-            results.append((claim, bool(check()), ""))
+            seen = observe(s)
         except ValueError as exc:
-            results.append((claim, False, f" ({type(exc).__name__}: {exc})"))
-    report = {"results": [{"claim": c, "pass": ok} for c, ok, _ in results],
-              "all_pass": all(ok for _, ok, _ in results)}
-    text = [("PASS: " if ok else "FAIL: ") + claim + detail
-            for claim, ok, detail in results]
-    text.append("ALL CHECKS PASSED" if report["all_pass"]
-                else "SOME CHECKS FAILED")
-    return report, text
+            ok, detail = False, f" ({type(exc).__name__}: {exc})"
+        else:
+            if isinstance(expected, dict):  # read a report on the claim's keys
+                seen = {k: seen[k] for k in expected}
+            ok, detail = seen == expected, ""
+            if not ok:
+                print(f"FAIL: {claim}: observed {seen}, expected {expected}",
+                      file=sys.stderr)
+        results.append({"claim": claim, "pass": ok})
+        text.append(("PASS: " if ok else "FAIL: ") + claim + detail)
+    all_pass = all(r["pass"] for r in results)
+    text.append("ALL CHECKS PASSED" if all_pass else "SOME CHECKS FAILED")
+    return {"results": results, "all_pass": all_pass}, text
 
 
 COMMANDS = {
@@ -506,6 +508,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         report, text = COMMANDS[args.command](args)
+        report = {"schema": 1, "command": args.command, "seed": args.seed,
+                  **report}
+        out = (json.dumps(report, indent=2, sort_keys=True)
+               if args.format == "json" else "\n".join(text)) + "\n"
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(out)
+        else:
+            sys.stdout.write(out)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, SchemaError,
             ZeroDivisorError) as exc:
         # ZeroDivisorError: a level above Q with a reducible modulus, which
@@ -515,17 +526,6 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    report = {"schema": 1, "command": args.command, "seed": args.seed,
-              **report}
-    if args.format == "json":
-        out = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    else:
-        out = "\n".join(text) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
     if args.command == "verify-all" and not report["all_pass"]:
         return 1
     return 0

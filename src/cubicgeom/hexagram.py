@@ -38,8 +38,9 @@ class HexagramConfig:
     hexagons: dict        # cremona pair -> its 6 surface lines as a hexagon
 
 
-def hexagram_config(hexform, surface, lines):
-    """Planes Pi_ij = V(x_i + x_j) with their incidence structure.
+def hexagram_config(hexform, matched, surface, lines):
+    """Planes Pi_ij = V(x_i + x_j) with their incidence structure, given the
+    form's 15 lines as matched by forms.hexahedral_lines.
 
     Each plane is tritangent (contains 3 of the 15 lines, by the index rule
     and verified geometrically); plane pairs sharing one index meet along a
@@ -47,8 +48,6 @@ def hexagram_config(hexform, surface, lines):
     meet along the surface line of the partition containing both (45).
     Each Cremona pair's 6 lines are ordered as a hexagon once, here.
     """
-    from .forms import hexahedral_lines
-    matched, _ = hexahedral_lines(hexform, lines)
     planes = {frozenset(p): hexform.plane(*sorted(p))
               for p in itertools.combinations(range(6), 2)}
     lines15 = {part: lines[lab] for part, lab in matched.items()}

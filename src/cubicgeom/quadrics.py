@@ -129,20 +129,6 @@ def residual_quadric(surface, plane, pencil_planes):
     return QuadricSurface.from_form(q), alpha
 
 
-def steinerian_nodes(trio, lines):
-    """The 12 intersection points of the residual line-pairs cut by the 12
-    tritangent planes through the trio's lines other than the trio's own.
-
-    Ordered by trio line, then by the scan order of the other tritangent
-    trios; the first four nodes belong to the first line, and so on.
-    """
-    nodes = [meet_lines(*(lines[m] for m in inc.label_order(other - {lab})))
-             for lab, others in inc.trios_through(trio) for other in others]
-    if len(nodes) != 12 or len(set(nodes)) != 12:
-        raise NodeVerificationFailedError("expected 12 distinct nodes")
-    return nodes
-
-
 def _face_product(tetrad):
     acc = MultiPoly.constant(4, rat(1))
     for i in range(4):
@@ -215,10 +201,10 @@ class QuadricWeb:
     trio: frozenset
     plane: ProjPlane
     basis: list              # 4 QuadricSurfaces
-    nodes: list              # the 12 nodes, in construction order
+    nodes: list              # the 12 nodes: the trio's group
     tetrads: tuple           # desmic partition as index tetrads
     base_points: tuple       # indices of the 6 base nodes
-    quartic: MultiPoly       # det[S_0 x | S_1 x | S_2 x | S_3 x]
+    quartic: MultiPoly       # the Steinerian, det[S_0 x | ... | S_3 x]
 
     def member(self, lam):
         mat = [[sum((l * b.mat[r][c] for l, b in zip(lam, self.basis)), rat(0))
@@ -235,18 +221,24 @@ def _jacobian_det(basis):
                MultiPoly(4))
 
 
-def quadric_web(surface, trio, lines, plane):
-    """The web of quadrics attached to a tritangent plane.
+def quadric_web(surface, trio, nodes, plane):
+    """The web of quadrics attached to a tritangent plane, with its Steinerian.
 
-    The basis spans the quadrics through six of the 12 Steinerian nodes (one
-    vertex pair from each tetrahedron of desmic_partition, whose certificate
-    is the 16 desmic lines); the first pair choice of a deterministic scan
-    whose Jacobian quartic is zero and singular at all 12 nodes is taken, and
-    the web keeps that quartic.  The full family of residual quadrics spans 8
-    dimensions (see residual_family_rank), so this 4-dimensional system is the
-    one cut by the base-point conditions.
+    The nodes are the trio's group of intersection_point_grouping; unless
+    they are 12 distinct points of the surface, NodeVerificationFailedError.
+    The basis spans the quadrics through six of them (one vertex pair from
+    each tetrahedron of desmic_partition, whose certificate is the 16 desmic
+    lines); the first pair choice of a deterministic scan whose Jacobian
+    quartic is zero and singular at all 12 nodes is taken, and the web keeps
+    that quartic, the Steinerian.  The full family of residual quadrics spans
+    8 dimensions (see residual_family_rank), so this 4-dimensional system is
+    the one cut by the base-point conditions.
     """
-    nodes = steinerian_nodes(trio, lines)
+    if len(nodes) != 12 or len(set(nodes)) != 12:
+        raise NodeVerificationFailedError("expected 12 distinct nodes")
+    for node in nodes:
+        if not surface.contains_point(node):
+            raise NodeVerificationFailedError(f"node {node} is not on F = 0")
     part = desmic_partition(nodes)
     for pairsel in itertools.product(itertools.combinations(range(4), 2),
                                      repeat=3):
@@ -280,26 +272,6 @@ def residual_family_rank(surface, trio, planes):
     """
     return ExactMatrix(_trilinear_quadrics(
         surface, planes[trio], _pencil_members(trio, planes))).rank()
-
-
-@dataclass
-class SteinerianQuartic:
-    form: MultiPoly
-    nodes: list
-
-
-def steinerian(surface, web):
-    """The Steinerian quartic of the web, with its 12 constructed nodes.
-
-    K(x) = det[S_0 x | S_1 x | S_2 x | S_3 x] is the quartic quadric_web
-    verified to be zero and singular at the nodes, whose desmic tetrahedra
-    are certified by the 16 desmic lines; here each node is checked to lie
-    on the surface.
-    """
-    for node in web.nodes:
-        if not surface.contains_point(node):
-            raise NodeVerificationFailedError(f"node {node} is not on F = 0")
-    return SteinerianQuartic(web.quartic, web.nodes)
 
 
 def _product_entries(u, v):
@@ -406,7 +378,9 @@ def intersection_point_grouping(lines):
 
     The group of a tritangent plane consists of the intersection points of
     the residual line-pairs of the 12 other tritangent planes through its
-    three lines; every point lies in exactly 4 groups.
+    three lines, ordered by trio line, then by the scan order of the other
+    trios; they are the 12 nodes of the plane's Steinerian quartic (see
+    quadric_web).  Every point lies in exactly 4 groups.
     """
     points = {}
     for l1, l2 in itertools.combinations(inc.ALL_LABELS, 2):

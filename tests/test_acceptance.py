@@ -23,7 +23,7 @@ from cubicgeom.forms import (cayley_salmon, cs_from_hexahedral,
 from cubicgeom.hexagram import hexagram_config, pentahedra, verify_all_pairs
 from cubicgeom.linalg import ExactMatrix
 from cubicgeom.multipoly import MultiPoly, monomials
-from cubicgeom.quadrics import (quadric_web, steinerian, desmic_partition,
+from cubicgeom.quadrics import (quadric_web, desmic_partition,
                                 six_line_quadric_census,
                                 intersection_point_grouping, _face_product)
 from cubicgeom.species import (conjugation_action, classify_species,
@@ -133,20 +133,21 @@ def test_criterion_05_determinantal(surface, rep):
 
 
 def test_criterion_06_desmic(surface, lines, planes, sorted_trios):
+    points, groups = intersection_point_grouping(lines)
     for trio in sorted_trios[:3]:
-        web = quadric_web(surface, trio, lines, planes[trio])
+        web = quadric_web(surface, trio, groups[trio], planes[trio])
         assert len(web.basis) == 4
         assert ExactMatrix([b.coeff_vector() for b in web.basis]).rank() == 4
-        quartic = steinerian(surface, web)
-        assert quartic.form.degree() == 4
-        grad = quartic.form.gradient()
-        assert len(set(quartic.nodes)) == 12
-        for node in quartic.nodes:
-            assert quartic.form.evaluate(node.coords) == 0
+        assert web.quartic.degree() == 4
+        grad = web.quartic.gradient()
+        assert len(set(web.nodes)) == 12
+        for node in web.nodes:
+            assert surface.contains_point(node)
+            assert web.quartic.evaluate(node.coords) == 0
             assert all(g.evaluate(node.coords) == 0 for g in grad)
-        part = desmic_partition(quartic.nodes)
+        part = desmic_partition(web.nodes)
         deg4 = monomials(4, 4)
-        rows = [_face_product([quartic.nodes[i] for i in t]).coeff_vector(deg4)
+        rows = [_face_product([web.nodes[i] for i in t]).coeff_vector(deg4)
                 for t in part]
         assert ExactMatrix(rows).rank() == 2
     census = six_line_quadric_census(surface, planes)
@@ -154,7 +155,6 @@ def test_criterion_06_desmic(surface, lines, planes, sorted_trios):
     assert per == Counter({48: 45})
     assert len(census["distinct"]) == 360
     assert set(census["multiplicities"]) == {6}
-    points, groups = intersection_point_grouping(lines)
     assert len(set(points.values())) == 135
     assert len(groups) == 45 and all(len(g) == 12 for g in groups.values())
     assert set(Counter(p for g in groups.values() for p in g).values()) == {4}
@@ -164,7 +164,8 @@ def test_criterion_06_desmic(surface, lines, planes, sorted_trios):
 
 
 def test_criterion_07_hexagram(surface, lines, hexform):
-    config = hexagram_config(hexform, surface, lines)
+    matched, _ = hexahedral_lines(hexform, lines)
+    config = hexagram_config(hexform, matched, surface, lines)
     assert len(config.cremona_pairs) == 60
     pentahedra(config)
     reports = verify_all_pairs(surface, config, lines, seed=0)

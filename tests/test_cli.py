@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from cubicgeom import cli
+from cubicgeom import cli, forms, quadrics
 from cubicgeom.cli import main, load_points, build_parser, SchemaError
 from cubicgeom.field import is_rational, scalar_to_json
 from cubicgeom.fixtures import species_points
@@ -89,6 +89,14 @@ def test_output_file_written(tmp_path, capsys):
     code = main(["group", "--format", "json", "--output", str(out_path)])
     assert code == 0
     assert json.loads(out_path.read_text())["order"] == 51840
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir" / "report.json"
+    assert main(["group", "--output", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: FileNotFoundError: ")
+    assert "Traceback" not in captured.err and not missing.exists()
 
 
 def test_unknown_flag_rejected():
@@ -258,8 +266,68 @@ def test_hexahedral_over_extension(tmp_path, capsys, species_cli, k):
 def test_verify_all_over_extension_passes(tmp_path, capsys, species_cli):
     # every claim runs for real over Q(i), the webs and the census included
     path = _species_input(tmp_path, 3)
-    code, out = _run(capsys, "verify-all", "--input", path)
-    rows = out.splitlines()
+    code = main(["verify-all", "--input", path])
+    captured = capsys.readouterr()
+    rows = captured.out.splitlines()
     assert [r for r in rows if not r.startswith("PASS: ")] == [
         "ALL CHECKS PASSED"]
     assert len(rows) == 13 and code == 0
+    assert captured.err == ""
+
+
+def _count_calls(monkeypatch, name, *modules):
+    """Count the calls to the function `name` made through any of the
+    modules, each of which holds it."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_desmic_meets_each_line_pair_once(monkeypatch, capsys):
+    # the webs take their nodes from the grouping of the 135 meets, which
+    # the report also counts; the webs' own 36 made 171 meets in all
+    meets = _count_calls(monkeypatch, "meet_lines", quadrics)
+    assert main(["desmic"]) == 0
+    assert len(meets) == 135
+
+
+ECKARDT_REPORT = """\
+PASS: 27 distinct lines with the expected incidence table
+PASS: 45 tritangent planes, 36 double-sixes split 1/15/20, 120 trieder pairs, 40 triads
+PASS: Cayley-Salmon identity F = lambda*PQR + mu*STU
+PASS: hexahedral form: sum x_i = 0, sum x_i^3 = c*F, 15 lines, complementary double-six, 10 Cayley-Salmon splits
+PASS: determinantal form det M = kappa*F with parametrization on the surface
+PASS: cubo-cubic transformation preserves the surface and inverts exactly
+PASS: 4-dimensional quadric web with a 12-nodal Steinerian quartic and a unique desmic partition
+PASS: 45 sets of 48 nonsingular quadrics, 360 distinct, each in 6 sets
+FAIL: 135 intersection points in 45 groups of 12, each point in 4 groups
+PASS: 60 Cremona pairs with 3 collinear diagonal points on the projected Pascal line
+PASS: group of order 51840 with orbits 27, 36, 45, 40
+PASS: species 1-4 fixtures classified; census holds all five reality profiles
+SOME CHECKS FAILED
+"""
+
+
+def test_verify_all_says_what_it_saw(tmp_path, capsys, monkeypatch, eckardt):
+    # three lines through one point leave 133 distinct meets, and the point
+    # lies in the 4 groups of each of its 3 meets
+    path = _write(tmp_path, {"schema": 1, "points": [
+        [scalar_to_json(c) for c in p.coords] for p in eckardt.points.points]})
+    meets = _count_calls(monkeypatch, "meet_lines", quadrics)
+    matchings = _count_calls(monkeypatch, "hexahedral_lines", forms, cli)
+    assert main(["verify-all", "--input", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ECKARDT_REPORT
+    assert captured.err == (
+        "FAIL: 135 intersection points in 45 groups of 12, each point in 4 "
+        "groups: observed {'points': 133, 'groups': 45, 'per_group': [12], "
+        "'memberships': [4, 12]}, expected {'points': 135, 'groups': 45, "
+        "'per_group': [12], 'memberships': [4]}\n")
+    # the 135 meets once; each of the 3 forms matched to its lines once
+    assert (len(meets), len(matchings)) == (135, 3)

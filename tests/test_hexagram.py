@@ -11,8 +11,9 @@ from cubicgeom.projgeom import (ProjLine, ProjPoint, meet_planes,
 
 
 @pytest.fixture(scope="module")
-def config(surface, lines, hexform):
-    return hexagram_config(hexform, surface, lines)
+def config(session):
+    return hexagram_config(session.hexform, session.hexlines[0],
+                           session.surface, session.lines)
 
 
 def test_pair_counts(config):
@@ -110,7 +111,7 @@ def test_projection_matches_kernel_oracle(surface, lines, config):
 
 def test_projection_matches_kernel_oracle_over_gauss(species_sessions):
     s = species_sessions[3]
-    config = hexagram_config(s.hexform, s.surface, s.lines)
+    config = hexagram_config(s.hexform, s.hexlines[0], s.surface, s.lines)
     for n in (0, 31):
         pair = config.cremona_pairs[n]
         center = sample_surface_points(s.surface, 1, seed=n,

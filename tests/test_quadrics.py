@@ -7,15 +7,16 @@ from cubicgeom import incidence as inc
 from cubicgeom.field import rat
 from cubicgeom.linalg import ExactMatrix, det3, signed_minors
 from cubicgeom.multipoly import MultiPoly, monomials
-from cubicgeom.projgeom import ProjPoint
+from cubicgeom.projgeom import ProjPoint, meet_lines
 from cubicgeom.quadrics import (QuadricSurface, residual_quadric,
-                                residual_family_rank, steinerian_nodes,
-                                desmic_lines, desmic_partition, quadric_web,
-                                steinerian, six_line_quadric_census,
+                                residual_family_rank, desmic_lines,
+                                desmic_partition, quadric_web,
+                                six_line_quadric_census,
                                 intersection_point_grouping, _face_product,
                                 _partitions_into_tetrads, _pencil_members,
                                 _trilinear_quadrics, _symmetric,
-                                NoDesmicPartitionError)
+                                NoDesmicPartitionError,
+                                NodeVerificationFailedError)
 
 @pytest.fixture(scope="module")
 def trio(sorted_trios):
@@ -23,13 +24,14 @@ def trio(sorted_trios):
 
 
 @pytest.fixture(scope="module")
-def web(surface, trio, lines, planes):
-    return quadric_web(surface, trio, lines, planes[trio])
+def nodes(session, trio):
+    """The trio's group of the 135 line meets: the Steinerian's 12 nodes."""
+    return session.grouping[1][trio]
 
 
 @pytest.fixture(scope="module")
-def quartic(surface, web, lines):
-    return steinerian(surface, web)
+def web(surface, trio, nodes, planes):
+    return quadric_web(surface, trio, nodes, planes[trio])
 
 
 def test_residual_quadric_of_the_plane_itself(surface, trio, lines, planes):
@@ -60,16 +62,14 @@ def test_full_family_spans_eight(surface, trio, lines, planes):
     assert residual_family_rank(surface, trio, planes) == 8
 
 
-def test_twelve_nodes_constructed(surface, trio, lines):
-    nodes = steinerian_nodes(trio, lines)
+def test_twelve_nodes_constructed(surface, nodes):
     assert len(nodes) == 12
     assert len(set(nodes)) == 12
     for n in nodes:
         assert surface.contains_point(n)
 
 
-def test_desmic_partition_unique_and_dependent(trio, lines):
-    nodes = steinerian_nodes(trio, lines)
+def test_desmic_partition_unique_and_dependent(nodes):
     part = desmic_partition(nodes)
     assert sorted(i for t in part for i in t) == list(range(12))
     deg4 = monomials(4, 4)
@@ -78,10 +78,9 @@ def test_desmic_partition_unique_and_dependent(trio, lines):
     assert ExactMatrix(rows).rank() == 2
 
 
-def test_desmic_lines_meet_every_tetrad(trio, lines):
+def test_desmic_lines_meet_every_tetrad(nodes):
     # a (12_4, 16_3) configuration: 16 lines of 3 nodes, 4 through each
     # node, and each line through one vertex of every tetrahedron
-    nodes = steinerian_nodes(trio, lines)
     found = desmic_lines(nodes)
     assert len(found) == 16
     assert set(Counter(i for line in found for i in line).values()) == {4}
@@ -92,8 +91,7 @@ def test_desmic_lines_meet_every_tetrad(trio, lines):
         assert sorted(tetrad_of[i] for i in line) == [0, 1, 2]
 
 
-def test_node_moved_off_its_lines_has_no_partition(trio, lines):
-    nodes = steinerian_nodes(trio, lines)
+def test_node_moved_off_its_lines_has_no_partition(nodes):
     x = nodes[0].coords
     moved = [ProjPoint([x[0] + 1, x[1], x[2], x[3]])] + nodes[1:]
     # the 4 lines through the moved node are gone, and no new one appears
@@ -150,7 +148,7 @@ def _probe_partition(nodes):
 def test_desmic_partition_matches_probe_oracle(request, which, sorted_trios):
     s = request.getfixturevalue(which)
     for trio in sorted_trios[:3]:
-        nodes = steinerian_nodes(trio, s.lines)
+        nodes = s.grouping[1][trio]
         assert desmic_partition(nodes) == _probe_partition(nodes)
 
 
@@ -167,19 +165,30 @@ def test_web_members_vanish_at_base_points(web):
             assert b.form().evaluate(node.coords) == 0
 
 
-def test_steinerian_quartic_nodes(surface, quartic):
-    assert quartic.form.degree() == 4
-    grad = quartic.form.gradient()
-    for node in quartic.nodes:
-        assert quartic.form.evaluate(node.coords) == 0
+def test_steinerian_quartic_nodes(surface, web):
+    assert web.quartic.degree() == 4
+    grad = web.quartic.gradient()
+    for node in web.nodes:
+        assert web.quartic.evaluate(node.coords) == 0
         assert all(g.evaluate(node.coords) == 0 for g in grad)
         assert surface.contains_point(node)
 
 
-def test_nodes_come_from_singular_members(web, quartic):
+def test_web_rejects_nodes_that_are_not_12_on_the_surface(surface, trio,
+                                                          nodes, planes):
+    with pytest.raises(NodeVerificationFailedError, match="12 distinct"):
+        quadric_web(surface, trio, nodes[:11] + nodes[:1], planes[trio])
+    x = nodes[0].coords
+    off = ProjPoint([x[0] + 1, x[1], x[2], x[3]])
+    assert not surface.contains_point(off)
+    with pytest.raises(NodeVerificationFailedError, match="not on F = 0"):
+        quadric_web(surface, trio, [off] + nodes[1:], planes[trio])
+
+
+def test_nodes_come_from_singular_members(web):
     # K(x) = det[S_0 x | ... | S_3 x], so K(v) = 0 exhibits a combination
     # lambda with (sum lambda_k S_k) v = 0: a member singular at v
-    for v in quartic.nodes:
+    for v in web.nodes:
         cols = [[sum(b.mat[r][c] * v.coords[c] for c in range(4))
                  for b in web.basis] for r in range(4)]
         kerns = ExactMatrix(cols).kernel_basis()
@@ -297,11 +306,10 @@ def test_census_counts_on_eckardt_surface(eckardt):
 
 def test_first_webs_on_eckardt_surface(eckardt, sorted_trios):
     for trio in sorted_trios[:3]:
-        web = quadric_web(eckardt.surface, trio, eckardt.lines,
+        web = quadric_web(eckardt.surface, trio, eckardt.grouping[1][trio],
                           eckardt.planes[trio])
-        quartic = steinerian(eckardt.surface, web)
         assert len(web.basis) == 4
-        assert len(quartic.nodes) == 12
+        assert len(web.nodes) == 12
         assert sorted(i for t in web.tetrads for i in t) == list(range(12))
 
 
@@ -315,8 +323,18 @@ def test_grouping_135_points(lines):
     assert set(counts.values()) == {4}
 
 
-def test_steinerian_group_matches_nodes(trio, lines, quartic):
-    # the grouping entry of the trio's plane consists of its quartic's nodes
-    _, groups = intersection_point_grouping(lines)
-    assert sorted(groups[frozenset(trio)], key=lambda p: tuple(map(str, p.coords))) == \
-        sorted(quartic.nodes, key=lambda p: tuple(map(str, p.coords)))
+def _steinerian_nodes(trio, lines):
+    """Oracle for a trio's group: the meets of the residual line-pairs of the
+    12 other tritangent planes through the trio's lines, by trio line, then
+    by the scan order of the other trios."""
+    return [meet_lines(*(lines[m] for m in inc.label_order(other - {lab})))
+            for lab, others in inc.trios_through(trio) for other in others]
+
+
+def test_steinerian_group_matches_nodes(session, eckardt, species_sessions):
+    # every trio's group is its Steinerian nodes, in the same order; species
+    # 2 is an input over Q(i)
+    for s in (session, eckardt, species_sessions[2]):
+        _, groups = s.grouping
+        for trio in inc.TRITANGENT_TRIOS:
+            assert groups[trio] == _steinerian_nodes(trio, s.lines)
