@@ -26,7 +26,8 @@ from .determinantal import (det_rep, grassmann_nets, grassmann_param,
 from .quadrics import (quadric_web, six_line_quadric_census,
                        intersection_point_grouping, residual_family_rank)
 from .hexagram import hexagram_config, pentahedra, verify_all_pairs
-from .species import conjugation_action, classify_species, involution_census
+from .species import (SPECIES_PROFILES, conjugation_action, classify_species,
+                      involution_census)
 
 
 def _poly_json(p, monos):
@@ -61,7 +62,8 @@ def load_points(path):
     """
     with open(path) as fh:
         data = json.load(fh)
-    _require(isinstance(data, dict) and data.get("schema") == 1,
+    _require(isinstance(data, dict) and type(data.get("schema")) is int
+             and data["schema"] == 1,
              'input must be an object with "schema": 1')
     field = data.get("field") or {}
     levels = field.get("levels", []) if isinstance(field, dict) else None
@@ -360,12 +362,9 @@ def _species(points):
 
 
 def cmd_species(args):
-    if args.input:
-        rep = _species(load_points(args.input))
-        reports = {str(rep.species): list(rep.profile)}
-    else:
-        reports = {str(k): list(_species(species_points(k)).profile)
-                   for k in (1, 2, 3, 4)}
+    classified = ([_species(load_points(args.input))] if args.input else
+                  [_species(species_points(k)) for k in (1, 2, 3, 4)])
+    reports = {str(k): list(profile) for k, profile in classified}
     census = involution_census()
     report = {"classified": reports,
               "census": {str(k): v for k, v in sorted(census.items())}}
@@ -401,69 +400,77 @@ def _hexahedral_seen(s, full):
     return seen
 
 
-def cmd_verify_all(args):
-    s = _session(args)
-    s.planes  # a surface without 27 lines or 45 planes is a domain error
-    full, census, seed = args.full, args.census, args.seed
-    # (real lines, real tritangents, double-sixes fixed, swapped), species 1-5
-    profiles = [(27, 45, 36, 0), (15, 15, 15, 1), (7, 5, 6, 2), (3, 7, 1, 3),
-                (3, 13, 0, 12)]
-    # (claim, observation of the session, expected observation)
-    claims = [
-        ("27 distinct lines with the expected incidence table", lambda s: (
-            len(set(s.lines.values())), {p for p, met in incidence_table(
-                s.lines).items() if met != inc.meets_rule(*p)}), (27, set())),
-        ("45 tritangent planes, 36 double-sixes split 1/15/20, "
+def claims(full=False, census=False, seed=0):
+    """verify-all's claims in report order, each (key, claim, observation of
+    a Session, expected observation)."""
+    return [
+        ("lines", "27 distinct lines with the expected incidence table",
+         lambda s: (len(set(s.lines.values())), {p for p, met in
+                    incidence_table(s.lines).items()
+                    if met != inc.meets_rule(*p)}), (27, set())),
+        ("counts", "45 tritangent planes, 36 double-sixes split 1/15/20, "
          "120 trieder pairs, 40 triads", _counts,
          {"tritangent_planes": 45, "double_sixes": 36,
           "double_six_family_split": {"1": 1, "2": 15, "3": 20},
           "trieder_pairs": 120, "triads": 40}),
-        ("Cayley-Salmon identity F = lambda*PQR + mu*STU",
+        ("cayley_salmon", "Cayley-Salmon identity F = lambda*PQR + mu*STU",
          lambda s: _cayley_salmon_pairs(s, full), 120 if full else 12),
-        ("hexahedral form: sum x_i = 0, sum x_i^3 = c*F, 15 lines, "
-         "complementary double-six, 10 Cayley-Salmon splits",
+        ("hexahedral", "hexahedral form: sum x_i = 0, sum x_i^3 = c*F, 15 "
+         "lines, complementary double-six, 10 Cayley-Salmon splits",
          lambda s: _hexahedral_seen(s, full),
          {"splits": 10, **({"forms": 360, "double_sixes": 36} if full else {})}),
-        ("determinantal form det M = kappa*F with parametrization on the "
-         "surface", _param_on_surface, True),
-        ("cubo-cubic transformation preserves the surface and inverts "
-         "exactly", lambda s: _cubo_cubic(s, seed),
+        ("determinantal", "determinantal form det M = kappa*F with "
+         "parametrization on the surface", _param_on_surface, True),
+        ("cubo_cubic", "cubo-cubic transformation preserves the surface "
+         "and inverts exactly", lambda s: _cubo_cubic(s, seed),
          {"preserves_surface": True, "inverse_composes_to_identity": True,
           "plane_image_cubic_kernel": 1}),
-        ("4-dimensional quadric web with a 12-nodal Steinerian quartic and "
-         "a unique desmic partition",
+        ("webs", "4-dimensional quadric web with a 12-nodal Steinerian "
+         "quartic and a unique desmic partition",
          lambda s: {len(web.basis) for web in _webs(s, census)}, {4}),
-        ("45 sets of 48 nonsingular quadrics, 360 distinct, each in 6 sets",
-         _census, ({"48": 45}, 360, {"6": 360})),
-        ("135 intersection points in 45 groups of 12, each point in 4 "
-         "groups", _grouping,
+        ("census", "45 sets of 48 nonsingular quadrics, 360 distinct, each in "
+         "6 sets", _census, ({"48": 45}, 360, {"6": 360})),
+        ("grouping", "135 intersection points in 45 groups of 12, each point "
+         "in 4 groups", _grouping,
          {"points": 135, "groups": 45, "per_group": [12], "memberships": [4]}),
-        ("60 Cremona pairs with 3 collinear diagonal points on the "
+        ("hexagram", "60 Cremona pairs with 3 collinear diagonal points on the "
          "projected Pascal line", lambda s: _hexagram(s, seed),
          {"cremona_pairs": 60, "projections_verified": 180}),
-        ("group of order 51840 with orbits 27, 36, 45, 40", lambda s: _group(),
+        ("group", "group of order 51840 with orbits 27, 36, 45, 40",
+         lambda s: _group(),
          {"order": 51840, "orbits": {"lines": 27, "double_sixes": 36,
                                      "tritangents": 45, "triads": 40}}),
-        ("species 1-4 fixtures classified; census holds all five reality "
-         "profiles", lambda s: (
-             [(r.species, r.profile) for r in
-              (_species(species_points(k)) for k in (1, 2, 3, 4))],
-             set(profiles) - set(involution_census())),
-         (list(enumerate(profiles[:4], 1)), set())),
+        ("species", "species 1-4 fixtures classified; census holds all five "
+         "reality profiles", lambda s: (
+             [_species(species_points(k)) for k in (1, 2, 3, 4)],
+             set(SPECIES_PROFILES.values()) - set(involution_census())),
+         ([(k, SPECIES_PROFILES[k]) for k in (1, 2, 3, 4)], set())),
     ]
+
+
+def check(s, claim, observe, expected):
+    """Evaluate one claim on the Session s: (passed, detail).  A mismatch
+    writes what was observed to stderr; a ValueError becomes the detail."""
+    try:
+        seen = observe(s)
+    except ValueError as exc:
+        return False, f" ({type(exc).__name__}: {exc})"
+    if isinstance(expected, dict):  # read a report on the claim's keys
+        seen = {k: seen[k] for k in expected}
+    if seen == expected:
+        return True, ""
+    print(f"FAIL: {claim}: observed {seen}, expected {expected}",
+          file=sys.stderr)
+    return False, ""
+
+
+def cmd_verify_all(args):
+    s = _session(args)
+    s.planes  # a surface without 27 lines or 45 planes is a domain error
     results, text = [], []
-    for claim, observe, expected in claims:
-        try:
-            seen = observe(s)
-        except ValueError as exc:
-            ok, detail = False, f" ({type(exc).__name__}: {exc})"
-        else:
-            if isinstance(expected, dict):  # read a report on the claim's keys
-                seen = {k: seen[k] for k in expected}
-            ok, detail = seen == expected, ""
-            if not ok:
-                print(f"FAIL: {claim}: observed {seen}, expected {expected}",
-                      file=sys.stderr)
+    for _, claim, observe, expected in claims(args.full, args.census,
+                                              args.seed):
+        ok, detail = check(s, claim, observe, expected)
         results.append({"claim": claim, "pass": ok})
         text.append(("PASS: " if ok else "FAIL: ") + claim + detail)
     all_pass = all(r["pass"] for r in results)

@@ -5,8 +5,6 @@ census of the automorphism group's involutions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .field import is_rational
 from . import incidence as inc
 
@@ -19,30 +17,25 @@ class UnknownProfile(ValueError):
     pass
 
 
+# species -> (real lines, real tritangent planes, double-sixes with both
+# sixes setwise fixed, double-sixes whose two sixes are exchanged)
+SPECIES_PROFILES = {1: (27, 45, 36, 0), 2: (15, 15, 15, 1), 3: (7, 5, 6, 2),
+                    4: (3, 7, 1, 3), 5: (3, 13, 0, 12)}
+# (real lines, real tritangent planes) -> species
+_SPECIES_BY_COUNTS = {p[:2]: k for k, p in SPECIES_PROFILES.items()}
+
+
 def _conj_scalar(x):
     return x if is_rational(x) else x.conjugate()
 
 
-@dataclass
-class ConjugationAction:
-    """Coordinate conjugation and the permutation it induces on the lines."""
-
-    perm: tuple           # permutation of the 27 label indices
-    surface: object
-
-    def is_involution(self):
-        return inc.compose(self.perm, self.perm) == tuple(range(27))
-
-    def preserves_incidence(self):
-        return inc.permutation_preserves_incidence(self.perm)
-
-
 def conjugation_action(surface, lines):
-    """The permutation of the 27 labeled lines induced by conjugation.
+    """The permutation of the 27 label indices induced by conjugation.
 
     Requires the six blow-up points to be conjugation-stable (rational
     points fixed, extension points in conjugate pairs); every conjugated
-    line must coincide with exactly one labeled line.
+    line must coincide with exactly one labeled line, and the permutation
+    must be an involution preserving incidence.
     """
     pts = list(surface.source.points)
     conj_pts = [p.map_coords(_conj_scalar) for p in pts]
@@ -56,44 +49,29 @@ def conjugation_action(surface, lines):
         if len(matches) != 1:
             raise NotStable(f"conjugate of line {lab} is not a labeled line")
         perm.append(matches[0])
-    action = ConjugationAction(tuple(perm), surface)
-    if not action.is_involution() or not action.preserves_incidence():
+    perm = tuple(perm)
+    if (inc.compose(perm, perm) != tuple(range(27))
+            or not inc.permutation_preserves_incidence(perm)):
         raise NotStable("conjugation does not act as an incidence involution")
-    return action
+    return perm
 
 
-@dataclass
-class SpeciesReport:
-    species: int
-    real_lines: int
-    real_tritangents: int
-    ds_both_fixed: int    # double-sixes with both sixes setwise fixed
-    ds_swapped: int       # double-sixes whose two sixes are exchanged
-    profile: tuple        # (real_lines, real_tritangents, both, swapped)
-
-
-# (real lines, real tritangent planes) -> species number
-_SPECIES_BY_COUNTS = {(27, 45): 1, (15, 15): 2, (7, 5): 3, (3, 7): 4,
-                      (3, 13): 5}
-
-
-def classify_species(action):
-    """Cremona's species from the conjugation permutation.
+def classify_species(perm):
+    """Cremona's species from the conjugation permutation, with its profile
+    (real lines, real tritangents, double-sixes fixed, swapped).
 
     A line is real when its label is fixed; a tritangent plane is real when
     its trio of labels is setwise fixed; the double-six profile counts the
     pairs of sixes fixed individually or exchanged.
     """
-    profile = inc.involution_profile(action.perm,
-                                     inc.enumerate_double_sixes())
-    lines, trios, both, swapped = profile
-    species = _SPECIES_BY_COUNTS.get((lines, trios))
+    profile = inc.involution_profile(perm, inc.enumerate_double_sixes())
+    species = _SPECIES_BY_COUNTS.get(profile[:2])
     if species is None:
         raise UnknownProfile(f"no species with profile {profile}")
-    return SpeciesReport(species, lines, trios, both, swapped, profile)
+    return species, profile
 
 
-def real_tritangent_covectors(action, planes):
+def real_tritangent_covectors(planes):
     """Count the conjugation-fixed tritangent plane covectors.
 
     Agrees with the setwise-fixed-trio count: a trio is setwise fixed
@@ -114,8 +92,3 @@ def involution_census():
     without any realizability claim.
     """
     return inc.involution_census()
-
-
-# double-six pattern per species: (both sixes fixed, sixes swapped)
-SPECIES_DS_PATTERN = {1: (36, 0), 2: (15, 1), 3: (6, 2), 4: (1, 3),
-                      5: (0, 12)}

@@ -27,7 +27,7 @@ from cubicgeom.quadrics import (quadric_web, desmic_partition,
                                 six_line_quadric_census,
                                 intersection_point_grouping, _face_product)
 from cubicgeom.species import (conjugation_action, classify_species,
-                               involution_census, SPECIES_DS_PATTERN)
+                               involution_census, SPECIES_PROFILES)
 
 
 def _report(n, text):
@@ -190,10 +190,11 @@ def test_criterion_09_species(species_sessions):
     expect = {1: (27, 45), 2: (15, 15), 3: (7, 5), 4: (3, 7)}
     for k in (1, 2, 3, 4):
         s = species_sessions[k]
-        rep = classify_species(conjugation_action(s.surface, s.lines))
-        assert rep.species == k
-        assert (rep.real_lines, rep.real_tritangents) == expect[k]
-        assert (rep.ds_both_fixed, rep.ds_swapped) == SPECIES_DS_PATTERN[k]
+        species, profile = classify_species(
+            conjugation_action(s.surface, s.lines))
+        assert species == k
+        assert profile[:2] == expect[k]
+        assert profile[2:] == SPECIES_PROFILES[k][2:]
     census = involution_census()
     assert {(27, 45, 36, 0), (15, 15, 15, 1), (7, 5, 6, 2), (3, 7, 1, 3),
             (3, 13, 0, 12)} <= set(census)

@@ -164,6 +164,10 @@ def _write(tmp_path, data):
 
 @pytest.mark.parametrize("data", [
     {"schema": 7, "points": FRAME + [["1", "2", "3"], ["1", "5", "8"]]},
+    # JSON true and 1.0 compare equal to 1 in Python; only the integer 1 is
+    # schema 1
+    {"schema": True, "points": FRAME + [["1", "2", "3"], ["1", "5", "8"]]},
+    {"schema": 1.0, "points": FRAME + [["1", "2", "3"], ["1", "5", "8"]]},
     {"schema": 1, "points": FRAME + [["1", "2"], ["1", "5", "8"]]},
     {"schema": 1, "field": {"levels": 5},
      "points": FRAME + [["1", "2", "3"], ["1", "5", "8"]]},
@@ -180,7 +184,7 @@ def _write(tmp_path, data):
      "points": FRAME + [[["1", "2", "3"], "5", "7"], ["1", "5", "8"]]},
     # the zero vector is no point; it exited 1 with a bare ValueError
     {"schema": 1, "points": FRAME[:3] + [["0", "0", "0"], ["1", "2", "3"], ["1", "5", "8"]]},
-], ids=["schema-version", "point-arity", "levels-not-a-list",
+], ids=["schema-version", "schema-true", "schema-float", "point-arity", "levels-not-a-list",
         "degree-1-modulus", "number-not-a-string", "zero-denominator",
         "no-coefficients", "too-few-coefficients", "too-many-coefficients",
         "zero-point"])

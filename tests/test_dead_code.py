@@ -1,5 +1,5 @@
 """No public function or method of the library goes unused, and the README
-names no error class that is gone.
+names no error class that is gone and maps exactly verify-all's claims.
 
 Every public module-level function of src/cubicgeom, and every public method
 of its public classes, must be referenced by name somewhere in src/ or
@@ -10,6 +10,8 @@ import ast
 import re
 from collections import Counter
 from pathlib import Path
+
+from cubicgeom import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cubicgeom"
@@ -63,3 +65,14 @@ def test_readme_names_only_existing_errors():
                            (ROOT / "README.md").read_text()))
     assert named, "the README names no error class"
     assert not named - defined, f"not in cubicgeom: {sorted(named - defined)}"
+
+
+def test_readme_claim_map_matches_the_claims():
+    # a row per claim key, in order, each naming a test that exists
+    rows = re.findall(r"^\| `(\w+)` \|.*\| `(test_\w+\.py)::(test_\w+)` \|$",
+                      (ROOT / "README.md").read_text(), re.M)
+    assert [key for key, _, _ in rows] == [key for key, *_ in cli.claims()]
+    for _, module, name in rows:
+        tree = ast.parse((ROOT / "tests" / module).read_text())
+        assert name in {node.name for node in tree.body
+                        if isinstance(node, ast.FunctionDef)}, (module, name)

@@ -5,7 +5,7 @@ from cubicgeom.blowup import build_surface, labeled_lines
 from cubicgeom.forms import tritangent_planes
 from cubicgeom.species import (conjugation_action, classify_species,
                                real_tritangent_covectors, involution_census,
-                               SPECIES_DS_PATTERN, NotStable)
+                               SPECIES_PROFILES, NotStable)
 
 EXPECT = {1: (27, 45), 2: (15, 15), 3: (7, 5), 4: (3, 7)}
 
@@ -14,40 +14,40 @@ EXPECT = {1: (27, 45), 2: (15, 15), 3: (7, 5), 4: (3, 7)}
 def classified(request, species_sessions):
     k = request.param
     s = species_sessions[k]
-    action = conjugation_action(s.surface, s.lines)
-    return k, s.surface, s.lines, action, classify_species(action)
+    perm = conjugation_action(s.surface, s.lines)
+    return k, s.surface, s.lines, perm, classify_species(perm)
 
 
 def test_species_assignment(classified):
-    k, _, _, _, report = classified
-    assert report.species == k
-    assert (report.real_lines, report.real_tritangents) == EXPECT[k]
+    k, _, _, _, (species, profile) = classified
+    assert species == k
+    assert profile[:2] == EXPECT[k]
 
 
 def test_double_six_profiles(classified):
-    k, _, _, _, report = classified
-    assert (report.ds_both_fixed, report.ds_swapped) == SPECIES_DS_PATTERN[k]
+    k, _, _, _, (_, profile) = classified
+    assert profile[2:] == SPECIES_PROFILES[k][2:]
 
 
 def test_action_is_group_involution(classified):
-    _, _, _, action, _ = classified
-    assert action.is_involution()
-    assert action.preserves_incidence()
-    assert inc.is_group_element(action.perm)
-    assert action.perm in inc.involutions()
+    _, _, _, perm, _ = classified
+    assert inc.compose(perm, perm) == tuple(range(27))
+    assert inc.permutation_preserves_incidence(perm)
+    assert inc.is_group_element(perm)
+    assert perm in inc.involutions()
 
 
 def test_covector_count_matches_trio_count(classified):
-    _, _, lines, action, report = classified
+    _, _, lines, _, (_, profile) = classified
     planes = tritangent_planes(lines)
-    assert real_tritangent_covectors(action, planes) == report.real_tritangents
+    assert real_tritangent_covectors(planes) == profile[1]
 
 
 def test_one_pair_swaps_a5_a6(species_sessions):
     s = species_sessions[2]
-    action = conjugation_action(s.surface, s.lines)
+    perm = conjugation_action(s.surface, s.lines)
     i5, i6 = inc.LABEL_INDEX[inc.a(5)], inc.LABEL_INDEX[inc.a(6)]
-    assert action.perm[i5] == i6 and action.perm[i6] == i5
+    assert perm[i5] == i6 and perm[i6] == i5
 
 
 def test_unstable_points_rejected():
