@@ -14,15 +14,14 @@ from . import incidence as inc
 from .field import QQ, ZeroDivisorError, scalar_from_json, scalar_to_json
 from .multipoly import monomials
 from .binforms import irreducible_over_q
-from .blowup import (SixPoints, build_surface, labeled_lines, incidence_table,
-                     sample_surface_points)
+from .blowup import SixPoints, build_surface, labeled_lines, incidence_table
 from .fixtures import fixture_points, species_points
 from .forms import (tritangent_planes, cayley_salmon, hexahedral_from_cs,
                     cs_from_hexahedral, all_hexahedral_forms, hexahedral_lines)
 from .determinantal import (det_rep, grassmann_nets, grassmann_param,
                             param_lands_on_surface, cubo_cubic,
                             cubo_cubic_inverse, preserves_surface,
-                            inverts_on_points, plane_image_cubic)
+                            inverts_exactly, plane_cubic, plane_image_cubic)
 from .quadrics import (quadric_web, six_line_quadric_census,
                        intersection_point_grouping, residual_family_rank)
 from .hexagram import hexagram_config, pentahedra, verify_all_pairs
@@ -243,28 +242,27 @@ def cmd_determinantal(args):
     return report, text
 
 
-def _cubo_cubic(s, seed, extra_points=0):
+def _cubo_cubic(s, seed):
     """The cubo-cubic map of the determinantal form: its degrees, and whether
-    it preserves the surface, its inverse undoes it at 20 + extra_points
-    sampled surface points, and a plane maps into one cubic surface."""
-    points = (sample_surface_points(s.surface, 20, seed=seed)
-              + sample_surface_points(s.surface, extra_points, seed=seed + 1))
+    F o T, T' o T and a plane's image meet their exact identities (the
+    image's cubic unique by a modular rank at seed's 25 sampled images)."""
     tmap, tinv = cubo_cubic(s.rep), cubo_cubic_inverse(s.rep)
     return {
         "component_degree": max(t.degree() for t in tmap.components),
         "factor_degree": tmap.factor.degree(),
         "preserves_surface": preserves_surface(tmap, s.surface),
-        "inverse_composes_to_identity": inverts_on_points(tmap, tinv, points),
-        "plane_image_cubic_kernel": len(plane_image_cubic(tmap, seed=seed)),
+        "inverse_composes_to_identity": inverts_exactly(tmap, tinv),
+        "plane_image_cubic_kernel": plane_image_cubic(tmap, plane_cubic(tinv),
+                                                      seed=seed),
     }
 
 
 def cmd_cubo_cubic(args):
-    report = _cubo_cubic(_session(args), args.seed, extra_points=5)
+    report = _cubo_cubic(_session(args), args.seed)
     text = [f"cubic components after removing a degree-"
             f"{report['factor_degree']} common factor",
             f"surface preserved: {report['preserves_surface']}",
-            f"T' o T = id at 25 sampled points: "
+            f"T' o T = id as a polynomial identity: "
             f"{report['inverse_composes_to_identity']}",
             f"sampled plane maps into a single cubic surface: "
             f"{report['plane_image_cubic_kernel'] == 1}"]
@@ -380,6 +378,8 @@ def _group():
 
 
 def cmd_group(args):
+    if args.input:
+        load_points(args.input)  # a missing or malformed input exits 2
     report = _group()
     text = [f"group order: {report['order']}",
             "orbit sizes: " + ", ".join(f"{k}={v}" for k, v in

@@ -1,14 +1,20 @@
 """Determinantal shape of the cubic, the Grassmann-net parametrization of the
 surface, and the associated cubo-cubic Cremona transformation of P^3.
+
+Its claims are identities composed through the powers of its components
+(CuboCubicMap.powers), a plane image's uniqueness a rank modulo a prime.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
+from math import prod
 
-from .field import rat
-from .linalg import ExactMatrix, cross3, det3, signed_minors
+from .field import clear_denominators, rat, residue
+from .linalg import ExactMatrix, cross3, det3, integral_rank, signed_minors
 from .multipoly import MultiPoly, monomials, eval_monomial, coprime_on_a_line
 from .projgeom import ProjPoint
 
@@ -75,10 +81,11 @@ def bilinear_identity_holds(nets):
     for j in range(3):
         lhs = MultiPoly(7)
         for k in range(3):
-            lhs = lhs + _embed(nets.rep.matrix[j][k], 7, 0) * _lam_var(k)
+            lhs = lhs + (_embed(nets.rep.matrix[j][k], 7, 0)
+                         * MultiPoly.variable(4 + k, 7))
         rhs = MultiPoly(7)
         for i in range(4):
-            rhs = rhs + _embed(nets.a[j][i], 7, 4) * _t_var(i)
+            rhs = rhs + _embed(nets.a[j][i], 7, 4) * MultiPoly.variable(i, 7)
         if lhs != rhs:
             return False
     return True
@@ -88,14 +95,6 @@ def _embed(p, nvars, offset):
     return MultiPoly(nvars, {
         tuple([0] * offset + list(e) + [0] * (nvars - offset - p.nvars)): c
         for e, c in p.terms.items()})
-
-
-def _t_var(i):
-    return MultiPoly.variable(i, 7)
-
-
-def _lam_var(k):
-    return MultiPoly.variable(4 + k, 7)
 
 
 def grassmann_param(nets):
@@ -112,12 +111,6 @@ def param_lands_on_surface(surface, gamma):
     return surface.F.substitute(gamma).is_zero()
 
 
-def param_rank_at(gamma, lam):
-    """Rank of the differential of gamma at a parameter value."""
-    jac = [[g.partial(k).evaluate(lam) for k in range(3)] for g in gamma]
-    return ExactMatrix(jac).rank()
-
-
 @dataclass
 class CuboCubicMap:
     """x -> (T_0(x) : ... : T_3(x)), cubics left after removing the factor G."""
@@ -131,6 +124,35 @@ class CuboCubicMap:
         if not any(vals):
             return None
         return ProjPoint(vals)
+
+    @cached_property
+    def powers(self):
+        """The 20 cubic monomials in T cleared to integral coefficients by
+        one common factor (the same map), each from a quadratic one."""
+        t = _cleared(self.components)
+        table = {e: t[e.index(1)] for e in monomials(4, 1)}
+        for degree in (2, 3):
+            table = {e: table[_bump(e, k, -1)] * t[k] for e in monomials(4, degree)
+                     for k in [next(k for k, n in enumerate(e) if n)]}
+        return table
+
+    def compose(self, form):
+        """form o T up to a nonzero constant factor, for a cubic form."""
+        return sum((self.powers[e].scale(c) for e, c in form.terms.items()),
+                   MultiPoly(4))
+
+
+def _bump(e, k, n):
+    """The exponent e with n more factors x_k."""
+    return e[:k] + (e[k] + n,) + e[k + 1:]
+
+
+def _cleared(polys):
+    """The polys times the least positive integer that makes all their
+    coefficients integral (over a level over Q: denominator 1)."""
+    _, values = clear_denominators([c for p in polys for c in p.terms.values()])
+    values = iter(values)
+    return [MultiPoly(p.nvars, {e: next(values) for e in p.terms}) for p in polys]
 
 
 def _vertices(rows):
@@ -162,9 +184,10 @@ def cubo_cubic(rep):
     form with lam absorbed (see det_rep).  Dividing G out leaves the four
     cubic components; they are certified coprime, so G is exactly the
     greatest common factor.  On the surface all three vertices collapse onto
-    the kernel of M(x), so the image stays on the surface: the map exchanges
-    the right kernel of M at the source with the left kernel at the image,
-    and the companion map cubo_cubic_inverse undoes it.
+    the kernel of M(x), so the image stays on the surface (preserves_surface):
+    the map exchanges the right kernel of M at the source with the left
+    kernel at the image, and the companion map cubo_cubic_inverse undoes it
+    (inverts_exactly).
     """
     m = rep.matrix
     return _cubic_map(_stacked_minors(list(zip(*m)), _vertices(m), 1),
@@ -192,69 +215,84 @@ def _cubic_map(minors, factor, rep):
     return CuboCubicMap(components, factor, rep)
 
 
-def triangle_minors(rep):
-    """The literal triangle construction: vertex lam^(i) with net i itself.
-
-    Pairing each row with its opposite vertex makes every plane satisfy
-    c_i(x).x = det M(x), so the resulting sextic map restricts to the
-    identity on the surface — but the four sextics are coprime (a binary gcd
-    on a rational line proves it), so no cubic map falls out of this
-    assignment; see cubo_cubic for the assignment that does.  Returns
-    (sextics, whether they are proven coprime).
-    """
-    sextics = _stacked_minors(rep.matrix, _vertices(rep.matrix), 0)
-    return sextics, coprime_on_a_line(sextics)
-
-
 def preserves_surface(tmap, surface):
     """F divides F o T: the transformation maps the surface into itself."""
-    composed = surface.F.substitute(tmap.components)
+    return _divides(surface.F, tmap.compose(_cleared([surface.F])[0]))
+
+
+def _divides(divisor, poly):
     try:
-        composed.divide_exact(surface.F)
+        poly.divide_exact(divisor)
     except ValueError:
         return False
     return True
 
 
-def inverts_on_points(tmap, tinv, points):
-    """T' (T x) = x exactly for the given points."""
-    for pt in points:
-        img = tmap.apply(pt)
-        if img is None:
-            return False
-        back = tinv.apply(img)
-        if back is None or back != pt:
-            return False
-    return True
+def inverts_exactly(tmap, tinv):
+    """T' o T = phi * id as an identity: T' o T is nonzero and
+    x_i (T' o T)_j = x_j (T' o T)_i for all i < j.  T' is cleared by one
+    common factor and composed through the powers of T."""
+    composed = [tmap.compose(t).terms for t in _cleared(tinv.components)]
+
+    def times(i, terms):  # x_i * terms
+        return {_bump(e, i, 1): c for e, c in terms.items()}
+    return any(composed) and all(times(i, composed[j]) == times(j, composed[i])
+                                 for i, j in combinations(range(4), 2))
 
 
-def fixes_surface_points(tmap, points):
-    """T(x) = x exactly for the given surface points."""
-    for pt in points:
-        img = tmap.apply(pt)
-        if img is None or img != pt:
-            return False
-    return True
+# The plane h.x = 0 whose image plane_image_cubic checks, and a prime
+# p = 1 (mod 4): Z[i] maps onto Z/p with i sent to I_MOD_P, a root of -1.
+PLANE = (1, 2, 3, 5)
+RANK_PRIME, I_MOD_P = 2147483053, 2502840
 
 
-def plane_image_cubic(tmap, seed=0):
-    """Fit a cubic through the images of sampled points of a seeded plane.
+def plane_cubic(tinv):
+    """G = sum h_k T'_k.  If T' o T = phi * id, then G o T = phi * (h.x),
+    so G contains the image of the plane h.x = 0."""
+    return sum((t.scale(h) for h, t in zip(PLANE, _cleared(tinv.components))),
+               MultiPoly(4))
 
-    Returns the kernel of the 25x20 evaluation matrix (dimension 1 when the
-    image of the plane is a single cubic surface).
-    """
+
+def plane_images(tmap, seed=0):
+    """25 distinct images of seeded points of the plane h.x = 0."""
     rng = random.Random(seed)
-    plane = [rat(1), rat(2), rat(3), rat(5)]
     images = []
     while len(images) < 25:
         u, v = (rat(rng.randint(-30, 30), rng.randint(1, 7)) for _ in range(2))
         # x_3 solved from the plane equation at (1, u, v, x_3)
-        x3 = -(plane[0] + plane[1] * u + plane[2] * v) / plane[3]
-        pt = ProjPoint([rat(1), u, v, x3])
-        img = tmap.apply(pt)
-        if img is None or img in images:
-            continue
-        images.append(img)
-    cubics = monomials(4, 3)
-    rows = [[eval_monomial(e, img.coords) for e in cubics] for img in images]
-    return ExactMatrix(rows).kernel_basis()
+        x3 = -(PLANE[0] + PLANE[1] * u + PLANE[2] * v) / PLANE[3]
+        img = tmap.apply(ProjPoint([rat(1), u, v, x3]))
+        if img is not None and img not in images:
+            images.append(img)
+    return images
+
+
+def plane_image_cubic(tmap, cubic, seed=0):
+    """The dimension of the cubics through the image of the plane h.x = 0,
+    with `cubic` (see plane_cubic) as witness: 0 unless it is nonzero and
+    h.x divides cubic o T.  The 25 x 20 matrix of the cubic monomials at
+    plane_images then has the witness in its kernel; rank 19 modulo
+    RANK_PRIME, which reduction can only lower, makes that kernel exactly
+    1-dimensional.  Otherwise the exact rank is taken.
+    """
+    if not cubic or not _divides(MultiPoly.linear_form(list(PLANE)),
+                                 tmap.compose(cubic)):
+        return 0
+    images = plane_images(tmap, seed)
+    if _rank_mod_p(images) == 19:
+        return 1
+    return 20 - ExactMatrix([[eval_monomial(e, img.coords) for e in monomials(4, 3)]
+                             for img in images]).rank()
+
+
+def _rank_mod_p(images):
+    """The rank modulo RANK_PRIME of the cubic monomials at the images,
+    cleared to integers (to Z[i] over Q(i), i going to I_MOD_P); None over
+    any other field."""
+    reduced = [[residue(x, RANK_PRIME, I_MOD_P)
+                for x in clear_denominators(img.coords)[1]] for img in images]
+    if any(x is None for img in reduced for x in img):
+        return None
+    return integral_rank([[prod(pow(x, n, RANK_PRIME) for x, n in zip(img, e))
+                           for e in monomials(4, 3)] for img in reduced],
+                         RANK_PRIME)

@@ -68,6 +68,19 @@ def clear_denominators(values):
                for x, d in zip(values, dens)]
 
 
+def residue(x, p, root):
+    """x modulo the prime p: an integer, or an element with denominator 1 of
+    a level over Q whose monic integral modulus has the root `root` mod p,
+    sent to the generator (a ring map); None for any other element."""
+    if type(x) is not FieldElement:
+        return x % p
+    m = x.tower.int_modulus
+    if x.num is None or x.den != 1 or m[-1] != 1 \
+            or sum(c * root ** k for k, c in enumerate(m)) % p:
+        return None
+    return sum(n * root ** k for k, n in enumerate(x.num)) % p
+
+
 def rat_str(x):
     """Serialize a rational as "p/q" (always with explicit denominator)."""
     return f"{x.numerator}/{x.denominator}"

@@ -233,24 +233,6 @@ def cs_from_hexahedral(hexform, surface):
     return out
 
 
-def segre_membership(hexform, points):
-    """Check sampled surface points map into the Segre-cubic slice.
-
-    The image (x_1(P), ..., x_6(P)) must satisfy sum(y_i) = 0,
-    sum(a_i y_i) = 0 and sum(y_i^3) = 0.
-    """
-    a = hexform.relation
-    for pt in points:
-        ys = [f.evaluate(pt.coords) for f in hexform.x]
-        if sum(ys[1:], ys[0]):
-            return False
-        if sum((ai * y for ai, y in zip(a[1:], ys[1:])), a[0] * ys[0]):
-            return False
-        if sum((y * y * y for y in ys[1:]), ys[0] ** 3):
-            return False
-    return True
-
-
 def all_hexahedral_forms(surface, lines, planes):
     """Every hexahedral form from every trihedral pair, with its double-six.
 

@@ -20,15 +20,8 @@ class ExactMatrix:
             if len(r) != self.ncols:
                 raise ValueError("ragged rows")
 
-    @classmethod
-    def identity(cls, n):
-        return cls([[rat(1) if i == j else rat(0) for j in range(n)] for i in range(n)])
-
     def transpose(self):
         return ExactMatrix(list(map(list, zip(*self.rows)))) if self.rows else ExactMatrix([])
-
-    def mul_vec(self, v):
-        return [sum((a * x for a, x in zip(row, v) if a and x), rat(0)) for row in self.rows]
 
     def rref(self):
         """(reduced rows, pivot column list); does not modify self."""
@@ -148,12 +141,13 @@ _COMPLEMENTS = [((0, 1), (2, 3)), ((0, 2), (3, 1)), ((0, 3), (1, 2)),
                 ((1, 2), (0, 3)), ((1, 3), (2, 0)), ((2, 3), (0, 1))]
 
 
-def integral_rank(rows):
+def integral_rank(rows, modulus=None):
     """The rank of a matrix by elimination with +, - and * alone, for
     integers or elements with denominator 1: a row r below the pivot row s
     becomes p*r - r[col]*s, p the pivot, so nothing is divided and no
-    denominator appears."""
-    rows = [list(r) for r in rows]
+    denominator appears.  With a prime modulus, of integers: the rank of
+    the matrix reduced modulo it, each row reduced as it is formed."""
+    rows = [[x % modulus for x in r] if modulus else list(r) for r in rows]
     rank = 0
     for col in range(len(rows[0]) if rows else 0):
         pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
@@ -165,7 +159,8 @@ def integral_rank(rows):
         for i in range(rank + 1, len(rows)):
             f = rows[i][col]
             if f:
-                rows[i] = [p * x - f * y for x, y in zip(rows[i], top)]
+                row = [p * x - f * y for x, y in zip(rows[i], top)]
+                rows[i] = [x % modulus for x in row] if modulus else row
         rank += 1
     return rank
 

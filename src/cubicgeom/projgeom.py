@@ -172,16 +172,6 @@ def meet_planes(h1, h2):
     return ProjLine(ProjPoint(kern[0]), ProjPoint(kern[1]))
 
 
-def meet_line_plane(line, plane):
-    """The intersection point of a line not contained in the plane."""
-    a = sum((c * x for c, x in zip(plane.coeffs, line.p.coords)), rat(0))
-    b = sum((c * x for c, x in zip(plane.coeffs, line.q.coords)), rat(0))
-    if not a and not b:
-        raise ValueError("line lies in the plane")
-    # a*s + b*t = 0 at the meeting point
-    return line.point_at(b, -a)
-
-
 def plucker_pairing(l1, l2):
     a, b = l1.plucker, l2.plucker
     return (a[0] * b[5] - a[1] * b[4] + a[2] * b[3]
@@ -232,8 +222,3 @@ def meet_coplanar(p, q, v):
 def meet_lines(l1, l2):
     """The intersection point of two distinct meeting lines."""
     return ProjPoint(meet_coplanar(l1.p.coords, l1.q.coords, l2.plucker))
-
-
-def plucker_relation_holds(line):
-    v = line.plucker
-    return not (v[0] * v[5] - v[1] * v[4] + v[2] * v[3])

@@ -71,20 +71,6 @@ def classify_species(perm):
     return species, profile
 
 
-def real_tritangent_covectors(planes):
-    """Count the conjugation-fixed tritangent plane covectors.
-
-    Agrees with the setwise-fixed-trio count: a trio is setwise fixed
-    exactly when its plane has a conjugation-fixed covector.
-    """
-    fixed = 0
-    for trio, plane in planes.items():
-        conj = plane.map_coords(_conj_scalar)
-        if conj == plane:
-            fixed += 1
-    return fixed
-
-
 def involution_census():
     """Histogram of (lines, trios, both, swapped) over all involutions.
 

@@ -192,8 +192,16 @@ def test_malformed_input_is_a_schema_error(tmp_path, capsys, data):
     path = _write(tmp_path, data)
     with pytest.raises(SchemaError):
         load_points(path)
-    assert main(["construct", "--input", path]) == 2
-    assert "SchemaError" in capsys.readouterr().err
+    # group reports no input, but it still reads one it is given
+    for command in ("construct", "group"):
+        assert main([command, "--input", path]) == 2
+        assert "SchemaError" in capsys.readouterr().err
+
+
+def test_missing_input_exits_2(tmp_path, capsys):
+    for command in ("construct", "group"):
+        assert main([command, "--input", str(tmp_path / "missing.json")]) == 2
+        assert "FileNotFoundError" in capsys.readouterr().err
 
 
 # x^2 - 1 splits over Q, so "theta" is a zero divisor.

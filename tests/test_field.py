@@ -4,7 +4,7 @@ import pytest
 
 from cubicgeom.field import (QQ, FieldElement, FieldTower, ZeroDivisorError,
                              mpq, rat, rat_str, is_rational, scalar_from_json,
-                             inverse, clear_denominators,
+                             inverse, clear_denominators, residue,
                              _poly_divmod, _poly_mul, _poly_xgcd)
 from cubicgeom.projgeom import ProjPoint
 
@@ -233,3 +233,17 @@ def test_clear_denominators_per_level():
     tower, i, t = _gauss_cbrt2()
     values = [t / 2, i, rat(1, 3)]
     assert clear_denominators(values) == (1, values)
+
+
+def test_residue_is_a_ring_map_onto_z_mod_p():
+    p, root = 13, 5     # 5^2 = -1 (mod 13)
+    assert residue(-1, p, root) == 12
+    i = _gauss_over_q().gen()
+    x, y = i * 2 + 3, i * -4 + 1
+    assert residue(x, p, root) == (3 + 2 * root) % p
+    assert residue(x * y, p, root) == residue(x, p, root) * residue(y, p, root) % p
+    assert residue(i / 2, p, root) is None      # denominator 2
+    assert residue(i, p, 2) is None             # 2^2 + 1 != 0 (mod 13)
+    sqrt2 = QQ.extend([rat(-2), rat(0), rat(1)]).gen()
+    assert residue(sqrt2, p, root) is None
+    assert residue(_gauss_cbrt2()[2], p, root) is None   # a level above Q(i)

