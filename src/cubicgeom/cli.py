@@ -89,8 +89,9 @@ def load_points(path):
 class Session:
     """The surface chain of one input, each stage computed on first use and
     kept: surface -> lines -> planes -> first_cs -> rep, first_cs -> hexforms
-    -> hexlines (the first form's 15 lines and double-six), and lines ->
-    grouping (the 135 line meets, and the 12 nodes of each trio).
+    -> hexlines (the first form's 15 lines and double-six, read from the
+    trios of its planes among the 45), and lines -> grouping (the 135 line
+    meets, and the 12 nodes of each trio).
     """
 
     def __init__(self, points):
@@ -132,7 +133,7 @@ class Session:
 
     @cached_property
     def hexlines(self):
-        return hexahedral_lines(self.hexform, self.lines)
+        return hexahedral_lines(self.hexform, self.planes)
 
 
 def _session(args):
@@ -202,7 +203,7 @@ def cmd_cayley_salmon(args):
 def cmd_hexahedral(args):
     s = _session(args)
     if args.full:
-        forms, by_ds = all_hexahedral_forms(s.surface, s.lines, s.planes)
+        forms, by_ds = all_hexahedral_forms(s.surface, s.planes)
         report = {"forms": len(forms), "double_sixes": len(by_ds),
                   "forms_per_double_six": sorted(len(v) for v in by_ds.values())}
         text = [f"hexahedral forms: {len(forms)}",
@@ -392,10 +393,10 @@ def _hexahedral_seen(s, full):
     the first form's Cayley-Salmon splits, and with full all forms."""
     s.hexlines
     for hexform in s.hexforms[1:]:
-        hexahedral_lines(hexform, s.lines)
+        hexahedral_lines(hexform, s.planes)
     seen = {"splits": len(cs_from_hexahedral(s.hexform, s.surface))}
     if full:
-        forms, by_ds = all_hexahedral_forms(s.surface, s.lines, s.planes)
+        forms, by_ds = all_hexahedral_forms(s.surface, s.planes)
         seen.update(forms=len(forms), double_sixes=len(by_ds))
     return seen
 

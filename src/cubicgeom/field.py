@@ -357,10 +357,16 @@ class FieldElement:
         return a._coeffs == b._coeffs
 
     def __hash__(self):
-        # An element of a lower level hashes alike wherever it is embedded.
+        # An element of a lower level hashes alike wherever it is embedded,
+        # and a rational-valued one as the rational.
         if self._hash is None:
-            coeffs = self.coeffs
-            self._hash = hash(tuple(coeffs) if any(coeffs[1:]) else coeffs[0])
+            num = self.num
+            if num is None:
+                coeffs = self._coeffs
+                self._hash = hash(tuple(coeffs) if any(coeffs[1:]) else coeffs[0])
+            else:
+                self._hash = hash((num, self.den) if any(num[1:])
+                                  else _mpq(num[0], self.den))
         return self._hash
 
     def __repr__(self):

@@ -6,13 +6,13 @@ x_1..x_6 with sum(x_i) = 0, sum(a_i x_i) = 0 and sum(x_i^3) = c*F.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from .field import FieldElement, rat, inverse
 from .linalg import ExactMatrix
 from .multipoly import MultiPoly, monomials, ratio
-from .projgeom import ProjPlane, plane_of_lines, meet_planes
+from .projgeom import ProjPlane, plane_of_lines
 from . import incidence as inc
 
 
@@ -21,10 +21,6 @@ class NotCoplanarError(ValueError):
 
 
 class NoDecompositionError(ValueError):
-    pass
-
-
-class DependentPlanesError(ValueError):
     pass
 
 
@@ -97,33 +93,11 @@ class HexahedralForm:
     x: list               # the six linear MultiPoly forms
     c: object             # sum(x_i^3) = c * F
 
-    relation: list = field(default=None)
-
-    def __post_init__(self):
-        if self.relation is None:
-            self.relation = _second_relation(self.x)
-
-    def plane(self, i, j):
-        """The plane x_i + x_j = 0."""
-        return ProjPlane((self.x[i] + self.x[j]).linear_coeffs())
-
-
-def _second_relation(x_forms):
-    """Canonical relation (a_i) with sum(a_i x_i) = 0, independent of (1,...,1)."""
-    cols = ExactMatrix(list(zip(*(f.linear_coeffs() for f in x_forms))))
-    kern = cols.kernel_basis()
-    if len(kern) != 2:
-        raise DependentPlanesError(f"relation space has dimension {len(kern)}")
-    for v in kern:
-        if not _proportional_to_ones(v):
-            lead = next(c for c in v if c)
-            inv = inverse(lead)
-            return [c * inv for c in v]
-    raise DependentPlanesError("no relation independent of the sum relation")
-
-
-def _proportional_to_ones(v):
-    return all(c == v[0] for c in v)
+    @cached_property
+    def planes(self):
+        """The 15 planes x_i + x_j = 0, keyed frozenset({i, j})."""
+        return {frozenset((i, j)): ProjPlane((self.x[i] + self.x[j]).linear_coeffs())
+                for i, j in itertools.combinations(range(6), 2)}
 
 
 @lru_cache(maxsize=36)
@@ -182,23 +156,26 @@ def _scalar_key(x):
             if isinstance(x, FieldElement) else [x])
 
 
-def hexahedral_lines(hexform, lines):
-    """The 15 surface lines cut by the hexahedral planes, and the leftover double-six.
+def hexahedral_lines(hexform, planes):
+    """The 15 surface lines cut by the hexahedral planes, and the leftover
+    double-six; planes maps each tritangent trio to its plane.
 
-    Each partition of {1..6} into three pairs gives three planes x_i + x_j = 0
-    whose covectors sum to zero, hence a pencil with a common axis line; the 15
-    axes lie on the surface and the 12 unmatched labels form a double-six.
+    The 15 planes x_i + x_j = 0 are the tritangent planes off the form's
+    double-six.  Each partition of {1..6} into three pairs gives three of
+    them whose covectors sum to zero, hence a pencil with a common axis: the
+    one line that their three trios share, as each plane was checked to hold
+    its trio's lines.  The 12 unmatched labels form a double-six.
     """
+    trio_of = {plane: trio for trio, plane in planes.items()}
     matched = {}
     for part in inc.partitions_into_pairs(range(6)):
-        part = sorted(tuple(sorted(p)) for p in part)
-        (i, j), (k, l), _ = part
-        axis = meet_planes(hexform.plane(i, j), hexform.plane(k, l))
-        label = next((lab for lab in inc.ALL_LABELS if axis == lines[lab]), None)
-        if label is None:
-            raise NoDecompositionError(
-                f"hexahedral axis for partition {part} is not one of the 27 lines")
-        matched[tuple(tuple(p) for p in part)] = label
+        part = tuple(sorted(tuple(sorted(p)) for p in part))
+        axis = frozenset.intersection(
+            *(trio_of.get(hexform.planes[frozenset(p)], frozenset()) for p in part))
+        if len(axis) != 1:
+            raise NoDecompositionError(f"the planes of partition {list(part)} "
+                                       "are not tritangent through one line")
+        matched[part] = next(iter(axis))
     if len(set(matched.values())) != 15:
         raise NoDecompositionError("hexahedral axes are not 15 distinct lines")
     leftover = frozenset(inc.ALL_LABELS) - set(matched.values())
@@ -233,7 +210,7 @@ def cs_from_hexahedral(hexform, surface):
     return out
 
 
-def all_hexahedral_forms(surface, lines, planes):
+def all_hexahedral_forms(surface, planes):
     """Every hexahedral form from every trihedral pair, with its double-six.
 
     Returns (forms, by_double_six) where forms is a list of
@@ -244,7 +221,7 @@ def all_hexahedral_forms(surface, lines, planes):
     for pair in inc.enumerate_trieder_pairs():
         cs = cayley_salmon(surface, pair, planes)
         for hexform in hexahedral_from_cs(cs, surface, planes):
-            _, ds = hexahedral_lines(hexform, lines)
+            _, ds = hexahedral_lines(hexform, planes)
             results.append((pair, hexform, ds))
             by_ds.setdefault(ds, []).append(hexform)
     return results, by_ds

@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from . import incidence as inc
 from .field import rat, clear_denominators
 from .linalg import signed_minors
 from .projgeom import (ProjPoint, ProjPlane, ProjLine, EqualLinesError,
@@ -28,10 +29,8 @@ class HexagramConfig:
     """The 15 planes, 15 lines, 60 Cremona pairs and Pascal lines of a
     hexahedral form."""
 
-    hexform: object
     planes: dict          # frozenset({i, j}) -> ProjPlane
-    line_labels: dict     # partition (3 sorted index pairs) -> line label
-    lines15: dict         # same keys -> ProjLine
+    lines15: dict         # partition (3 sorted index pairs) -> ProjLine
     cremona_pairs: list   # (key1, key2) sharing exactly one index
     pascal_lines: dict    # cremona pair -> ProjLine (intersection, off X)
     shared_pairs: list    # disjoint-index plane pairs, sharing a surface line
@@ -42,48 +41,35 @@ def hexagram_config(hexform, matched, surface, lines):
     """Planes Pi_ij = V(x_i + x_j) with their incidence structure, given the
     form's 15 lines as matched by forms.hexahedral_lines.
 
-    Each plane is tritangent (contains 3 of the 15 lines, by the index rule
-    and verified geometrically); plane pairs sharing one index meet along a
-    line off the surface (Cremona pairs, 60 of them); disjoint-index pairs
-    meet along the surface line of the partition containing both (45).
-    Each Cremona pair's 6 lines are ordered as a hexagon once, here.
+    Each plane holds the 3 lines of the partitions through its index pair
+    (the index rule, checked geometrically), and their labels form a
+    tritangent trio, so the plane holds no other of the 27 lines.  Plane
+    pairs sharing one index meet along a line off the surface (Cremona
+    pairs, 60 of them); disjoint-index pairs share the surface line of the
+    partition containing both (45).  Each Cremona pair's 6 lines are ordered
+    as a hexagon once, here.
     """
-    planes = {frozenset(p): hexform.plane(*sorted(p))
-              for p in itertools.combinations(range(6), 2)}
+    planes = hexform.planes
     lines15 = {part: lines[lab] for part, lab in matched.items()}
-    for part, line in lines15.items():
-        for pair in part:
-            plane = planes[frozenset(pair)]
-            if not (plane.contains(line.p) and plane.contains(line.q)):
-                raise ValueError("index rule violates geometric containment")
+    trios = {}
     for key, plane in planes.items():
-        inside = [part for part, line in lines15.items()
-                  if plane.contains(line.p) and plane.contains(line.q)]
-        if len(inside) != 3 or any(tuple(sorted(key)) not in p for p in inside):
+        through = [part for part in matched if tuple(sorted(key)) in part]
+        trios[key] = [lines15[part] for part in through]
+        if not all(map(plane.contains_line, trios[key])):
+            raise ValueError("index rule violates geometric containment")
+        if frozenset(matched[part] for part in through) not in inc.TRIO_INDEX:
             raise ValueError("plane is not tritangent to the 15 lines")
-    cremona, shared, pascal = [], [], {}
+    shared, pascal = [], {}
     for k1, k2 in itertools.combinations(sorted(planes, key=sorted), 2):
-        axis = meet_planes(planes[k1], planes[k2])
-        if k1 & k2:
-            if surface.contains_line(axis):
-                raise ValueError("Cremona axis unexpectedly lies on the surface")
-            cremona.append((k1, k2))
-            pascal[(k1, k2)] = axis
-        else:
-            part = next(p for p in lines15
-                        if tuple(sorted(k1)) in p and tuple(sorted(k2)) in p)
-            if axis != lines15[part]:
-                raise ValueError("disjoint-index planes do not share their line")
+        if not k1 & k2:
             shared.append((k1, k2))
-    if len(cremona) != 60 or len(shared) != 45:
-        raise ValueError("unexpected pair counts")
-    hexagons = {}
-    for pair in cremona:
-        tri1, tri2 = ([line for part, line in lines15.items()
-                       if tuple(sorted(key)) in part] for key in pair)
-        hexagons[pair] = _hexagon(tri1, tri2)
-    return HexagramConfig(hexform, planes, matched, lines15, cremona, pascal,
-                          shared, hexagons)
+            continue
+        axis = meet_planes(planes[k1], planes[k2])
+        if surface.contains_line(axis):
+            raise ValueError("Cremona axis unexpectedly lies on the surface")
+        pascal[(k1, k2)] = axis
+    hexagons = {pair: _hexagon(*(trios[key] for key in pair)) for pair in pascal}
+    return HexagramConfig(planes, lines15, list(pascal), pascal, shared, hexagons)
 
 
 def _hexagon(tri1, tri2):
@@ -112,18 +98,17 @@ def pentahedra(config):
     """The 6 pentahedra P_i with faces {Pi_ij : j != i}.
 
     Each plane is a face of exactly 2 pentahedra, and the 60 pentahedron
-    edges (pairwise face meets) are exactly the 60 Pascal lines.
+    edges (pairwise face meets) are exactly the 60 Cremona pairs, whose
+    meets are the Pascal lines.
     """
     penta = [tuple(frozenset({i, j}) for j in range(6) if j != i)
              for i in range(6)]
     membership = {key: sum(key in p for p in penta) for key in config.planes}
     if set(membership.values()) != {2}:
         raise ValueError("a plane is not a face of exactly two pentahedra")
-    edges = set()
-    for faces in penta:
-        for k1, k2 in itertools.combinations(faces, 2):
-            edges.add(meet_planes(config.planes[k1], config.planes[k2]))
-    if edges != set(config.pascal_lines.values()):
+    edges = {edge for faces in penta
+             for edge in itertools.combinations(faces, 2)}
+    if edges != set(config.pascal_lines):
         raise ValueError("pentahedron edges are not the Pascal lines")
     return penta
 

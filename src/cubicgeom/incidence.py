@@ -316,11 +316,6 @@ def group_order():
     return math.prod(len(transversal) for _, _, transversal in stabilizer_chain())
 
 
-def is_group_element(perm):
-    """Whether a permutation of the 27 label indices lies in the group."""
-    return _sift(stabilizer_chain(), tuple(perm)) == IDENTITY
-
-
 def act(perm, x):
     """The image of a label, or of frozensets of labels nested to any depth."""
     if isinstance(x, frozenset):

@@ -20,9 +20,6 @@ class ExactMatrix:
             if len(r) != self.ncols:
                 raise ValueError("ragged rows")
 
-    def transpose(self):
-        return ExactMatrix(list(map(list, zip(*self.rows)))) if self.rows else ExactMatrix([])
-
     def rref(self):
         """(reduced rows, pivot column list); does not modify self."""
         rows = [list(r) for r in self.rows]

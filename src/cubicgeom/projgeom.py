@@ -105,9 +105,6 @@ class ProjLine:
         self.q = q
         self.plucker = canonicalize(raw)
 
-    def point_at(self, s, t):
-        return ProjPoint([s * a + t * b for a, b in zip(self.p.coords, self.q.coords)])
-
     def contains(self, point):
         """Whether the point lies on the line: its four incidences vanish."""
         return not any(incidences(self.plucker, point.coords))

@@ -206,11 +206,6 @@ class QuadricWeb:
     base_points: tuple       # indices of the 6 base nodes
     quartic: MultiPoly       # the Steinerian, det[S_0 x | ... | S_3 x]
 
-    def member(self, lam):
-        mat = [[sum((l * b.mat[r][c] for l, b in zip(lam, self.basis)), rat(0))
-                for c in range(4)] for r in range(4)]
-        return QuadricSurface(mat)
-
 
 def _jacobian_det(basis):
     """det [S_0 x | S_1 x | S_2 x | S_3 x] for symmetric matrices S_k, by

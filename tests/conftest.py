@@ -70,6 +70,14 @@ def hexform(session):
 
 
 @pytest.fixture(scope="session")
+def is_group_element():
+    """Whether a permutation of the 27 label indices lies in the group: it
+    sifts to the identity through the stabilizer chain."""
+    chain = inc.stabilizer_chain()
+    return lambda perm: inc._sift(chain, tuple(perm)) == inc.IDENTITY
+
+
+@pytest.fixture(scope="session")
 def is_double_six_labels():
     """Whether a 12-label set splits as a double-six: returns it or None."""
     def find(labels):

@@ -95,7 +95,7 @@ def test_criterion_03_cayley_salmon(surface, planes):
     _report(3, "F = lambda*PQR + mu*STU exactly for 12 trieder pairs")
 
 
-def test_criterion_04_hexahedral(surface, lines, planes, hexforms,
+def test_criterion_04_hexahedral(surface, planes, hexforms,
                                  is_double_six_labels):
     for hexform in hexforms:
         total, cubes = MultiPoly(4), MultiPoly(4)
@@ -104,11 +104,11 @@ def test_criterion_04_hexahedral(surface, lines, planes, hexforms,
             cubes = cubes + x * x * x
         assert total.is_zero()
         assert hexform.c != 0 and cubes == surface.F.scale(hexform.c)
-        matched, ds = hexahedral_lines(hexform, lines)
+        matched, ds = hexahedral_lines(hexform, planes)
         assert len(set(matched.values())) == 15
         assert is_double_six_labels(ds)
     assert len(cs_from_hexahedral(hexforms[0], surface)) == 10
-    forms, by_ds = all_hexahedral_forms(surface, lines, planes)
+    forms, by_ds = all_hexahedral_forms(surface, planes)
     assert len(forms) == 360
     assert len(by_ds) == 36
     assert all(len(v) == 10 for v in by_ds.values())
@@ -163,8 +163,8 @@ def test_criterion_06_desmic(surface, lines, planes, sorted_trios):
                "135 points in 45x12 groups x4")
 
 
-def test_criterion_07_hexagram(surface, lines, hexform):
-    matched, _ = hexahedral_lines(hexform, lines)
+def test_criterion_07_hexagram(surface, lines, planes, hexform):
+    matched, _ = hexahedral_lines(hexform, planes)
     config = hexagram_config(hexform, matched, surface, lines)
     assert len(config.cremona_pairs) == 60
     pentahedra(config)

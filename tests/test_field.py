@@ -113,6 +113,13 @@ def test_hash_agrees_across_heights():
     assert hash(lifted) == hash(i)
     assert len({lifted, i}) == 1
     assert hash(tower.embed(rat(2, 3))) == hash(rat(2, 3))
+    # a level over Q hashes its integer numerators; rational values stay
+    # pinned to the rational's hash
+    gauss = i.tower
+    half = (i * i + 3) / 4
+    assert half == rat(1, 2) and hash(half) == hash(rat(1, 2))
+    assert hash(gauss.embed(rat(-7, 5))) == hash(rat(-7, 5))
+    assert len({half, rat(1, 2), tower.embed(half)}) == 1
 
 
 def test_arithmetic_builds_no_tower(monkeypatch):

@@ -1,12 +1,26 @@
+import dataclasses
+
 import pytest
 
 from cubicgeom import incidence as inc
 from cubicgeom.cli import Session
-from cubicgeom.field import rat
+from cubicgeom.field import rat, inverse
 from cubicgeom.fixtures import species_points
+from cubicgeom.linalg import ExactMatrix
 from cubicgeom.multipoly import MultiPoly
+from cubicgeom.projgeom import meet_planes
 from cubicgeom.forms import (tritangent_plane, cayley_salmon, cs_from_hexahedral,
-                             hexahedral_lines)
+                             hexahedral_lines, NoDecompositionError)
+
+
+def _second_relation(x_forms):
+    """Canonical relation (a_i) with sum(a_i x_i) = 0, independent of (1,...,1)."""
+    cols = ExactMatrix(list(zip(*(f.linear_coeffs() for f in x_forms))))
+    kern = cols.kernel_basis()
+    assert len(kern) == 2, f"relation space has dimension {len(kern)}"
+    v = next(v for v in kern if any(c != v[0] for c in v))
+    inv = inverse(next(c for c in v if c))
+    return [c * inv for c in v]
 
 
 def segre_membership(hexform, points):
@@ -15,7 +29,7 @@ def segre_membership(hexform, points):
     The image (x_1(P), ..., x_6(P)) must satisfy sum(y_i) = 0,
     sum(a_i y_i) = 0 and sum(y_i^3) = 0.
     """
-    a = hexform.relation
+    a = _second_relation(hexform.x)
     for pt in points:
         ys = [f.evaluate(pt.coords) for f in hexform.x]
         if sum(ys[1:], ys[0]):
@@ -68,12 +82,43 @@ def test_hexahedral_identities(surface, hexforms):
         assert hexform.c != 0
 
 
-def test_hexahedral_lines_and_double_six(lines, hexform,
+def test_hexahedral_lines_and_double_six(planes, hexform,
                                          is_double_six_labels):
-    matched, ds = hexahedral_lines(hexform, lines)
+    matched, ds = hexahedral_lines(hexform, planes)
     assert len(matched) == 15
     assert len(set(matched.values())) == 15
     assert is_double_six_labels(ds)
+
+
+def _axes_by_meets(hexform, lines):
+    """Oracle: each partition's axis as the meet of two of its planes,
+    looked up among the 27 lines."""
+    matched = {}
+    for part in inc.partitions_into_pairs(range(6)):
+        part = tuple(sorted(tuple(sorted(p)) for p in part))
+        axis = meet_planes(*(hexform.planes[frozenset(p)] for p in part[:2]))
+        matched[part] = next(lab for lab in inc.ALL_LABELS if axis == lines[lab])
+    return matched
+
+
+@pytest.mark.parametrize("which", ["session", "eckardt", "species3"])
+def test_axes_by_trios_match_plane_meets(request, which):
+    s = (request.getfixturevalue("species_sessions")[3] if which == "species3"
+         else request.getfixturevalue(which))
+    assert len(s.hexforms) == 3
+    for hexform in s.hexforms:
+        matched, _ = hexahedral_lines(hexform, s.planes)
+        assert matched == _axes_by_meets(hexform, s.lines)
+
+
+def test_plane_off_the_tritangents_raises(planes, hexform):
+    # x_0 + h and x_1 - h keep sum(x_i) = 0 but move the planes x_0 + x_j
+    # and x_1 + x_j, j > 1, off the 45 tritangent planes
+    h = MultiPoly.variable(0, 4)
+    x = [hexform.x[0] + h, hexform.x[1] - h] + hexform.x[2:]
+    moved = dataclasses.replace(hexform, x=x)
+    with pytest.raises(NoDecompositionError, match="not tritangent through"):
+        hexahedral_lines(moved, planes)
 
 
 def test_cs_from_hexahedral_ten_splits(surface, hexform):

@@ -79,7 +79,8 @@ def _kernel_meet(l1, l2):
     m = ExactMatrix([[l1.p.coords[i], l1.q.coords[i],
                       -l2.p.coords[i], -l2.q.coords[i]] for i in range(4)])
     (kern,) = m.kernel_basis()
-    return l1.point_at(kern[0], kern[1])
+    return ProjPoint([kern[0] * x + kern[1] * y
+                      for x, y in zip(l1.p.coords, l1.q.coords)])
 
 
 def _project_line(line, center, screen):

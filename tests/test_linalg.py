@@ -43,6 +43,10 @@ def identity(n):
                         for i in range(n)])
 
 
+def transpose(m):
+    return ExactMatrix([list(col) for col in zip(*m.rows)])
+
+
 def mul_vec(m, v):
     return [sum((a * x for a, x in zip(row, v) if a and x), rat(0))
             for row in m.rows]
@@ -51,7 +55,7 @@ def mul_vec(m, v):
 def test_identity_and_mul_vec():
     m = identity(3)
     assert mul_vec(m, [rat(4), rat(5), rat(6)]) == [rat(4), rat(5), rat(6)]
-    assert m.transpose().rank() == 3
+    assert transpose(m).rank() == 3
 
 
 def _integral_matrices(rng, i):

@@ -18,7 +18,8 @@ def meet_line_plane(line, plane):
     if not a and not b:
         raise ValueError("line lies in the plane")
     # a*s + b*t = 0 at the meeting point
-    return line.point_at(b, -a)
+    return ProjPoint([b * x - a * y
+                      for x, y in zip(line.p.coords, line.q.coords)])
 
 
 def plucker_relation_holds(line):

@@ -194,7 +194,9 @@ def test_nodes_come_from_singular_members(web):
         kerns = ExactMatrix(cols).kernel_basis()
         assert kerns, "node admits no singular member"
         lam = kerns[0]
-        member = web.member(lam)
+        member = QuadricSurface(
+            [[sum((l * b.mat[r][c] for l, b in zip(lam, web.basis)), rat(0))
+              for c in range(4)] for r in range(4)])
         assert ExactMatrix([list(row) for row in member.mat]).rank() <= 3
         assert all(sum(member.mat[r][c] * v.coords[c] for c in range(4)) == 0
                    for r in range(4))
@@ -240,7 +242,7 @@ def _fraction_census(surface, planes):
         fixed = [m[0] for m in members]
         weights = []
         for o, ms in zip(fixed, members):
-            pencil = ExactMatrix([plane.coeffs, o.coeffs]).transpose()
+            pencil = ExactMatrix([list(c) for c in zip(plane.coeffs, o.coeffs)])
             weights.append([pencil.solve(list(h.coeffs)) for h in ms])
         q, _ = residual_quadric(surface, plane, fixed)
         factors = [(plane.coeffs, o.coeffs) for o in fixed]
