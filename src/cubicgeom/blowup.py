@@ -14,12 +14,12 @@ from __future__ import annotations
 import itertools
 import random
 
-from .field import QQ, rat, inverse
+from .field import QQ, rat, inverse, primitive
 from .linalg import ExactMatrix, det3
-from .multipoly import MultiPoly, monomials, eval_monomial
+from .multipoly import MultiPoly, monomials, eval_monomial, cleared
 from . import incidence as inc
 from .projgeom import (ProjPoint, ProjLine, lines_meet, meet_planes,
-                       plane_of_lines)
+                       plane_of_lines, incidences)
 
 
 class DegeneratePointsError(ValueError):
@@ -86,13 +86,15 @@ class CubicSurface:
 
     def __init__(self, form, basis, source, matrix):
         self.F = form
+        self._integral_form = cleared([form])[0]
         self.basis = basis
         self.source = source
         self.matrix = matrix
         self.tower = source.tower
 
     def contains_point(self, point):
-        return not self.F.evaluate(point.coords)
+        """F(x) = 0, on F cleared to integral coefficients and x's ints."""
+        return not self._integral_form.evaluate(point.ints)
 
     def restrict_to_line(self, line):
         """F pulled back along the spanning-pair parametrization (binary cubic)."""
@@ -192,23 +194,27 @@ def incidence_table(lines):
 
 
 def sample_surface_points(surface, n, seed=0, avoid_lines=None):
-    """n exact points on F, images of pseudorandom plane points off the base points."""
+    """n exact points on F, images of pseudorandom plane points off the base
+    points and, if given, off the avoided lines.
+
+    The net is cleared to integral coefficients by one common factor, which
+    keeps the map, and evaluated at the plane point's primitive vector; the
+    avoided lines are tested on those integral values, and only an accepted
+    image becomes a ProjPoint."""
     rng = random.Random(seed)
-    base = set(surface.source.points)
-    avoid = list(avoid_lines) if avoid_lines else []
+    base = {p.ints for p in surface.source}
+    net = cleared(surface.basis)
+    avoid = [line.ints for line in avoid_lines] if avoid_lines else []
     out = []
     while len(out) < n:
         coords = [rat(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(2)]
-        pt = ProjPoint([rat(1), coords[0], coords[1]])
-        if pt in base:
+        x = primitive([rat(1), coords[0], coords[1]])
+        if x in base:
             continue
-        vals = [cub.evaluate(pt.coords) for cub in surface.basis]
-        if not any(vals):
+        vals = [cub.evaluate(x) for cub in net]
+        if not any(vals) or any(not any(incidences(v, vals)) for v in avoid):
             continue
         img = ProjPoint(vals)
-        if any(line.contains(img) for line in avoid):
-            continue
-        if img in out:
-            continue
-        out.append(img)
+        if img not in out:
+            out.append(img)
     return out

@@ -436,7 +436,8 @@ def claims(full=False, census=False, seed=0):
          {"points": 135, "groups": 45, "per_group": [12], "memberships": [4]}),
         ("hexagram", "60 Cremona pairs with 3 collinear diagonal points on the "
          "projected Pascal line", lambda s: _hexagram(s, seed),
-         {"cremona_pairs": 60, "projections_verified": 180}),
+         {"cremona_pairs": 60, "pascal_lines": 60, "pentahedra": 6,
+          "projections_verified": 180}),
         ("group", "group of order 51840 with orbits 27, 36, 45, 40",
          lambda s: _group(),
          {"order": 51840, "orbits": {"lines": 27, "double_sixes": 36,

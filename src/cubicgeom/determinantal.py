@@ -13,9 +13,10 @@ from functools import cached_property
 from itertools import combinations
 from math import prod
 
-from .field import clear_denominators, rat, residue
+from .field import rat, residue
 from .linalg import ExactMatrix, cross3, det3, integral_rank, signed_minors
-from .multipoly import MultiPoly, monomials, eval_monomial, coprime_on_a_line
+from .multipoly import (MultiPoly, monomials, eval_monomial, coprime_on_a_line,
+                        cleared)
 from .projgeom import ProjPoint
 
 
@@ -129,7 +130,7 @@ class CuboCubicMap:
     def powers(self):
         """The 20 cubic monomials in T cleared to integral coefficients by
         one common factor (the same map), each from a quadratic one."""
-        t = _cleared(self.components)
+        t = cleared(self.components)
         table = {e: t[e.index(1)] for e in monomials(4, 1)}
         for degree in (2, 3):
             table = {e: table[_bump(e, k, -1)] * t[k] for e in monomials(4, degree)
@@ -145,14 +146,6 @@ class CuboCubicMap:
 def _bump(e, k, n):
     """The exponent e with n more factors x_k."""
     return e[:k] + (e[k] + n,) + e[k + 1:]
-
-
-def _cleared(polys):
-    """The polys times the least positive integer that makes all their
-    coefficients integral (over a level over Q: denominator 1)."""
-    _, values = clear_denominators([c for p in polys for c in p.terms.values()])
-    values = iter(values)
-    return [MultiPoly(p.nvars, {e: next(values) for e in p.terms}) for p in polys]
 
 
 def _vertices(rows):
@@ -217,7 +210,7 @@ def _cubic_map(minors, factor, rep):
 
 def preserves_surface(tmap, surface):
     """F divides F o T: the transformation maps the surface into itself."""
-    return _divides(surface.F, tmap.compose(_cleared([surface.F])[0]))
+    return _divides(surface.F, tmap.compose(cleared([surface.F])[0]))
 
 
 def _divides(divisor, poly):
@@ -232,7 +225,7 @@ def inverts_exactly(tmap, tinv):
     """T' o T = phi * id as an identity: T' o T is nonzero and
     x_i (T' o T)_j = x_j (T' o T)_i for all i < j.  T' is cleared by one
     common factor and composed through the powers of T."""
-    composed = [tmap.compose(t).terms for t in _cleared(tinv.components)]
+    composed = [tmap.compose(t).terms for t in cleared(tinv.components)]
 
     def times(i, terms):  # x_i * terms
         return {_bump(e, i, 1): c for e, c in terms.items()}
@@ -249,7 +242,7 @@ RANK_PRIME, I_MOD_P = 2147483053, 2502840
 def plane_cubic(tinv):
     """G = sum h_k T'_k.  If T' o T = phi * id, then G o T = phi * (h.x),
     so G contains the image of the plane h.x = 0."""
-    return sum((t.scale(h) for h, t in zip(PLANE, _cleared(tinv.components))),
+    return sum((t.scale(h) for h, t in zip(PLANE, cleared(tinv.components))),
                MultiPoly(4))
 
 
@@ -286,11 +279,11 @@ def plane_image_cubic(tmap, cubic, seed=0):
 
 
 def _rank_mod_p(images):
-    """The rank modulo RANK_PRIME of the cubic monomials at the images,
-    cleared to integers (to Z[i] over Q(i), i going to I_MOD_P); None over
-    any other field."""
-    reduced = [[residue(x, RANK_PRIME, I_MOD_P)
-                for x in clear_denominators(img.coords)[1]] for img in images]
+    """The rank modulo RANK_PRIME of the cubic monomials at the images'
+    integral vectors (over Q(i) in Z[i], i going to I_MOD_P); None over any
+    other field."""
+    reduced = [[residue(x, RANK_PRIME, I_MOD_P) for x in img.ints]
+               for img in images]
     if any(x is None for img in reduced for x in img):
         return None
     return integral_rank([[prod(pow(x, n, RANK_PRIME) for x, n in zip(img, e))

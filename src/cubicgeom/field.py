@@ -48,24 +48,59 @@ def inverse(x):
     return 1 / x if type(x) is _mpq else _mpq(1, x)
 
 
+def canonicalize(coords):
+    """The vector divided by its first nonzero entry; ValueError if it is zero."""
+    coords = list(coords)
+    lead = next((c for c in coords if c), None)
+    if lead is None:
+        raise ValueError("zero coordinate vector")
+    inv = inverse(lead)
+    return tuple(inv * c for c in coords)
+
+
+def primitive(values):
+    """The vector divided by its first nonzero entry and multiplied by the
+    least positive integer m that makes every entry integral, as
+    clear_denominators clears it; ValueError if it is zero.  Over Q that is
+    the primitive integer vector with a positive lead, found from numerators
+    and denominators alone; on a level over Q its entries have denominator
+    1.  On a higher level an element is integral when its coefficients are,
+    so there too the result depends on the values alone, not on the level an
+    entry is held on: two vectors are proportional exactly when their
+    primitive vectors are equal."""
+    values = list(values)
+    if any(type(x) is FieldElement for x in values):
+        return tuple(clear_denominators(canonicalize(values))[1])
+    dens = [x.denominator for x in values]
+    m = lcm(*dens)
+    ints = [x.numerator * (m // d) for x, d in zip(values, dens)]
+    g = gcd(*ints)
+    if not g:
+        raise ValueError("zero coordinate vector")
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
+
+
+def _den(x):
+    """The least positive integer m with m * x integral."""
+    if type(x) is not FieldElement:
+        return x.denominator
+    if x.num is not None:
+        return x.den
+    return lcm(*map(_den, x._coeffs))
+
+
 def clear_denominators(values):
     """(m, [m * x for x in values]) for the least positive integer m that
     makes every value integral: rationals become integers, elements of a
-    level over Q get denominator 1.  Values on a higher level come back
-    unchanged, with m = 1.  Products, sums and zero tests of the cleared
-    values then need no gcd."""
-    dens = []
-    for x in values:
-        if type(x) is FieldElement:
-            if x.num is None:
-                return 1, list(values)
-            dens.append(x.den)
-        else:
-            dens.append(x.denominator)
-    m = lcm(*dens)
-    return m, [_over_q(x.tower, tuple(n * (m // d) for n in x.num), 1)
-               if type(x) is FieldElement else x.numerator * (m // d)
-               for x, d in zip(values, dens)]
+    level over Q get denominator 1, and elements of a higher level integral
+    coefficients, level by level.  Products, sums and zero tests of the
+    cleared values then need no gcd."""
+    values = list(values)
+    m = lcm(*map(_den, values))
+    return m, [x * m if type(x) is FieldElement else
+               x.numerator * (m // x.denominator) for x in values]
 
 
 def residue(x, p, root):

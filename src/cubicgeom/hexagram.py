@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import incidence as inc
-from .field import rat, clear_denominators
+from .field import rat
 from .linalg import signed_minors
 from .projgeom import (ProjPoint, ProjPlane, ProjLine, EqualLinesError,
                        meet_planes, meet_coplanar, plucker_vector, lines_meet)
@@ -129,19 +129,19 @@ def project_hexagram(surface, config, pair, center, screen):
     """Project the hexagon of a Cremona pair from a center on the surface.
 
     The central projection pi(x) = (s.c) x - (s.x) c, s the screen and c the
-    center, maps each side's spanning points into the screen on integral
-    coordinates; a center on a side leaves them dependent.  The projected
-    sides meet in the screen by meet_coplanar.  The three points where
-    opposite sides meet are exactly collinear, on the projection of the
-    pair's Pascal line.
+    center, maps each side's spanning points into the screen, integrally on
+    the ints of s, c and the points; a center on a side leaves them
+    dependent.  The projected sides meet in the screen by meet_coplanar.
+    The three points where opposite sides meet are exactly collinear, on
+    the projection of the pair's Pascal line.
     """
     if not surface.contains_point(center):
         raise DegenerateCenter("center is not on the surface")
-    c = clear_denominators(center.coords)[1]
+    c = center.ints
     for key in pair:
-        if not _dot(clear_denominators(config.planes[key].coeffs)[1], c):
+        if config.planes[key].contains(center):
             raise DegenerateCenter("center lies on a plane of the pair")
-    s = clear_denominators(screen.coeffs)[1]
+    s = screen.ints
     sc = _dot(s, c)
     if not sc:
         raise DegenerateCenter("screen passes through the center")
@@ -170,11 +170,10 @@ def _dot(u, v):
 def _project_line(line, s, c, sc):
     """(pi(p), pi(q), their Plucker vector) for the line's spanning points p
     and q, with pi(x) = (s.c) x - (s.x) c the point where the line cx meets
-    the screen s, on integral coordinates, given sc = s.c.  A center on the
-    line leaves pi(p) and pi(q) dependent: DegenerateCenter."""
+    the screen s, on the points' ints, given sc = s.c.  A center on the line
+    leaves pi(p) and pi(q) dependent: DegenerateCenter."""
     points = []
-    for x in (line.p, line.q):
-        x = clear_denominators(x.coords)[1]
+    for x in (line.p.ints, line.q.ints):
         sx = _dot(s, x)
         points.append([sc * a - sx * b for a, b in zip(x, c)])
     v = plucker_vector(*points)

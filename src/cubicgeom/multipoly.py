@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 
 from .binforms import binary_from_poly, binary_gcd_degree
-from .field import rat, is_rational, inverse
+from .field import rat, is_rational, inverse, clear_denominators
 
 
 def grlex_key(expo):
@@ -157,7 +157,7 @@ class MultiPoly:
         return [self.coefficient(_unit(i, self.nvars)) for i in range(self.nvars)]
 
     def evaluate(self, point):
-        acc = rat(0)
+        acc = 0
         for e, c in self.terms.items():
             term = c
             for x, k in zip(point, e):
@@ -247,6 +247,14 @@ def eval_monomial(expo, coords):
         for _ in range(k):
             acc = acc * x
     return acc
+
+
+def cleared(polys):
+    """The polys times the least positive integer that makes all their
+    coefficients integral (over a level over Q: denominator 1)."""
+    _, values = clear_denominators([c for p in polys for c in p.terms.values()])
+    values = iter(values)
+    return [MultiPoly(p.nvars, {e: next(values) for e in p.terms}) for p in polys]
 
 
 def ratio(num, den):

@@ -5,11 +5,19 @@ is 1; lines carry a spanning pair of points and a cached Plucker 6-vector in
 the order (01, 02, 03, 12, 13, 23), canonicalized the same way.  A line
 prints as its Plucker vector and a span that depends on the line alone, not
 on the pair it was built from.
+
+Each object also keeps ``ints``, its field.primitive vector, computed once
+when it is built: over Q the primitive integer vector with a positive lead,
+above Q the canonical vector cleared to integral entries.  The canonical
+vector is ``ints`` divided by its first nonzero entry, so equality and
+hashing compare ``ints`` and agree with comparing the canonical vectors.
+Incidences, meets and spans are computed on ``ints``: they are homogeneous,
+so a scale changes no zero test and no canonical result.
 """
 
 from __future__ import annotations
 
-from .field import rat, inverse, scalar_to_json
+from .field import rat, inverse, scalar_to_json, canonicalize, primitive
 from .linalg import ExactMatrix, signed_minors
 
 
@@ -25,26 +33,18 @@ class EqualLinesError(ValueError):
     pass
 
 
-def canonicalize(coords):
-    coords = list(coords)
-    lead = next((c for c in coords if c), None)
-    if lead is None:
-        raise ValueError("zero coordinate vector")
-    inv = inverse(lead)
-    return tuple(c * inv for c in coords)
-
-
 class ProjPoint:
-    __slots__ = ("coords",)
+    __slots__ = ("coords", "ints")
 
     def __init__(self, coords):
-        self.coords = canonicalize(coords)
+        self.ints = primitive(coords)
+        self.coords = canonicalize(self.ints)
 
     def __eq__(self, other):
-        return isinstance(other, ProjPoint) and self.coords == other.coords
+        return isinstance(other, ProjPoint) and self.ints == other.ints
 
     def __hash__(self):
-        return hash(self.coords)
+        return hash(self.ints)
 
     def __repr__(self):
         return "(" + " : ".join(str(c) for c in self.coords) + ")"
@@ -62,25 +62,24 @@ class ProjPoint:
 class ProjPlane:
     """A plane in P^3 as a coefficient covector."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "ints")
 
     def __init__(self, coeffs):
-        self.coeffs = canonicalize(coeffs)
+        self.ints = primitive(coeffs)
+        self.coeffs = canonicalize(self.ints)
 
     def contains(self, point):
-        acc = rat(0)
-        for a, x in zip(self.coeffs, point.coords):
-            acc = acc + a * x
-        return not acc
+        (a, b, c, d), (x, y, z, w) = self.ints, point.ints
+        return not (a * x + b * y + c * z + d * w)
 
     def contains_line(self, line):
         return self.contains(line.p) and self.contains(line.q)
 
     def __eq__(self, other):
-        return isinstance(other, ProjPlane) and self.coeffs == other.coeffs
+        return isinstance(other, ProjPlane) and self.ints == other.ints
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.ints)
 
     def __repr__(self):
         return "Plane" + repr(list(map(str, self.coeffs)))
@@ -95,25 +94,26 @@ class ProjPlane:
 class ProjLine:
     """A line in P^3 spanned by two points, with cached Plucker coordinates."""
 
-    __slots__ = ("p", "q", "plucker")
+    __slots__ = ("p", "q", "plucker", "ints")
 
     def __init__(self, p, q):
-        raw = plucker_vector(p.coords, q.coords)
+        raw = plucker_vector(p.ints, q.ints)
         if not any(raw):
             raise ValueError("points do not span a line")
         self.p = p
         self.q = q
-        self.plucker = canonicalize(raw)
+        self.ints = primitive(raw)
+        self.plucker = canonicalize(self.ints)
 
     def contains(self, point):
         """Whether the point lies on the line: its four incidences vanish."""
-        return not any(incidences(self.plucker, point.coords))
+        return not any(incidences(self.ints, point.ints))
 
     def __eq__(self, other):
-        return isinstance(other, ProjLine) and self.plucker == other.plucker
+        return isinstance(other, ProjLine) and self.ints == other.ints
 
     def __hash__(self):
-        return hash(self.plucker)
+        return hash(self.ints)
 
     def __repr__(self):
         return f"Line[{self.p!r}, {self.q!r}]"
@@ -125,7 +125,7 @@ class ProjLine:
         """The line's first two distinct meets with the coordinate planes
         x_k = 0: nonzero columns k of the matrix p q^T - q p^T, whose
         entries are the Plucker coordinates."""
-        v = self.plucker
+        v = self.ints
         index = {(0, 1): 0, (0, 2): 1, (0, 3): 2, (1, 2): 3, (1, 3): 4, (2, 3): 5}
         columns = [[v[index[i, k]] if i < k else -v[index[k, i]] if i > k
                     else rat(0) for i in range(4)] for k in range(4)]
@@ -138,7 +138,7 @@ class ProjLine:
 
 def span_plane(p1, p2, p3):
     """The plane through three points of P^3; raises CollinearError."""
-    minors = signed_minors([p1.coords, p2.coords, p3.coords])
+    minors = signed_minors([p1.ints, p2.ints, p3.ints])
     if not any(minors):
         raise CollinearError("points are collinear")
     # An exact rational 1 at the last nonzero minor, as in the kernel vector
@@ -164,13 +164,13 @@ def meet_planes(h1, h2):
     """The intersection line of two distinct planes."""
     if h1 == h2:
         raise EqualPlanesError("planes coincide")
-    m = ExactMatrix([list(h1.coeffs), list(h2.coeffs)])
+    m = ExactMatrix([list(h1.ints), list(h2.ints)])
     kern = m.kernel_basis()
     return ProjLine(ProjPoint(kern[0]), ProjPoint(kern[1]))
 
 
 def plucker_pairing(l1, l2):
-    a, b = l1.plucker, l2.plucker
+    a, b = l1.ints, l2.ints
     return (a[0] * b[5] - a[1] * b[4] + a[2] * b[3]
             + a[3] * b[2] - a[4] * b[1] + a[5] * b[0])
 
@@ -218,4 +218,4 @@ def meet_coplanar(p, q, v):
 
 def meet_lines(l1, l2):
     """The intersection point of two distinct meeting lines."""
-    return ProjPoint(meet_coplanar(l1.p.coords, l1.q.coords, l2.plucker))
+    return ProjPoint(meet_coplanar(l1.p.ints, l1.q.ints, l2.ints))

@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .field import rat, inverse, clear_denominators
+from .field import rat, inverse, clear_denominators, primitive, canonicalize
 from .linalg import (ExactMatrix, signed_minors, rank_below_3, det4,
                      integral_rank)
 from .multipoly import MultiPoly, monomials, eval_monomial, ratio
@@ -45,21 +45,28 @@ def _symmetric(entries):
 
 
 class QuadricSurface:
-    """A quadric as a canonicalized symmetric 4x4 matrix: the given matrix
-    divided by its first nonzero entry, which is kept as `lead`.  Only the
-    upper triangle is divided and read: equality and hashing compare its 10
-    entries, kept as `upper`."""
+    """A quadric from a symmetric 4x4 matrix, of which only the upper
+    triangle is read.  `upper` holds the field.primitive vector of its 10
+    entries (over Q the primitive integer vector with a positive lead), and
+    equality and hashing compare it, which is comparing the matrices up to
+    scale.  `lead` is the first nonzero entry of the given matrix, and
+    `mat`, built when first read, the matrix divided by it."""
 
-    __slots__ = ("mat", "lead", "upper")
+    __slots__ = ("upper", "lead", "_mat")
 
     def __init__(self, mat):
-        lead = next((mat[r][c] for r, c in _UPPER if mat[r][c]), None)
-        if lead is None:
+        entries = [mat[r][c] for r, c in _UPPER]
+        self.lead = next((x for x in entries if x), None)
+        if self.lead is None:
             raise ValueError("zero quadric")
-        inv = inverse(lead)
-        self.upper = tuple(mat[r][c] * inv for r, c in _UPPER)
-        self.mat = tuple(map(tuple, _symmetric(self.upper)))
-        self.lead = lead
+        self.upper = primitive(entries)
+        self._mat = None
+
+    @property
+    def mat(self):
+        if self._mat is None:
+            self._mat = tuple(map(tuple, _symmetric(canonicalize(self.upper))))
+        return self._mat
 
     @classmethod
     def from_form(cls, q):
@@ -138,11 +145,10 @@ def _face_product(tetrad):
 
 
 def desmic_lines(nodes):
-    """The 16 lines of the desmic system, as the node triples of rank 2; the
-    nodes are cleared to integral coordinates, and a triple's 3x3 minors are
-    taken only up to the first nonzero one.  Any other count raises
-    NoDesmicPartitionError."""
-    coords = [clear_denominators(n.coords)[1] for n in nodes]
+    """The 16 lines of the desmic system, as the node triples of rank 2 on
+    the nodes' integral vectors, a triple's 3x3 minors taken only up to the
+    first nonzero one.  Any other count raises NoDesmicPartitionError."""
+    coords = [n.ints for n in nodes]
     found = [t for t in itertools.combinations(range(len(nodes)), 3)
              if rank_below_3([coords[i] for i in t])]
     if len(found) != 16:
@@ -207,10 +213,10 @@ class QuadricWeb:
     quartic: MultiPoly       # the Steinerian, det[S_0 x | ... | S_3 x]
 
 
-def _jacobian_det(basis):
+def _jacobian_det(mats):
     """det [S_0 x | S_1 x | S_2 x | S_3 x] for symmetric matrices S_k, by
     Laplace expansion along the first row."""
-    cols = [[MultiPoly.linear_form(row) for row in b.mat] for b in basis]
+    cols = [[MultiPoly.linear_form(row) for row in m] for m in mats]
     rows = [[cols[c][r] for c in range(4)] for r in range(4)]
     return sum((a * v for a, v in zip(rows[0], signed_minors(rows[1:]))),
                MultiPoly(4))
@@ -225,9 +231,14 @@ def quadric_web(surface, trio, nodes, plane):
     each tetrahedron of desmic_partition, whose certificate is the 16 desmic
     lines); the first pair choice of a deterministic scan whose Jacobian
     quartic is zero and singular at all 12 nodes is taken, and the web keeps
-    that quartic, the Steinerian.  The full family of residual quadrics spans
-    8 dimensions (see residual_family_rank), so this 4-dimensional system is
-    the one cut by the base-point conditions.
+    that quartic, the Steinerian, of the basis's lead-1 matrices.  The scan
+    runs on integral vectors: the base-point rows are the nodes' ints
+    (scaling a row keeps the kernel), and the quartic it tests is that of
+    the basis's primitive matrices, evaluated at the nodes' ints.  That
+    quartic is the Steinerian times the product of the primitive matrices'
+    leads, so the web keeps it divided by that product.  The full family of residual quadrics
+    spans 8 dimensions (see residual_family_rank), so this 4-dimensional
+    system is the one cut by the base-point conditions.
     """
     if len(nodes) != 12 or len(set(nodes)) != 12:
         raise NodeVerificationFailedError("expected 12 distinct nodes")
@@ -239,22 +250,24 @@ def quadric_web(surface, trio, nodes, plane):
                                      repeat=3):
         base_idx = tuple(part[ti][a] for ti, pair in enumerate(pairsel)
                          for a in pair)
-        rows = [[eval_monomial(e, nodes[i].coords) for e in QUADRIC_MONOMIALS]
+        rows = [[eval_monomial(e, nodes[i].ints) for e in QUADRIC_MONOMIALS]
                 for i in base_idx]
         kern = ExactMatrix(rows).kernel_basis()
         if len(kern) != 4:
             continue
         basis = [QuadricSurface.from_form(MultiPoly(4, zip(QUADRIC_MONOMIALS, vec)))
                  for vec in kern]
-        k_form = _jacobian_det(basis)
-        if k_form.is_zero() or k_form.degree() != 4:
+        k_int = _jacobian_det([_symmetric(b.upper) for b in basis])
+        if k_int.is_zero() or k_int.degree() != 4:
             continue
-        grad = k_form.gradient()
-        if all(k_form.evaluate(n.coords) == 0
-               and all(g.evaluate(n.coords) == 0 for g in grad)
-               for n in nodes):
+        grad = k_int.gradient()
+        if not any(k_int.evaluate(n.ints) or any(g.evaluate(n.ints) for g in grad)
+                   for n in nodes):
+            leads = rat(1)
+            for b in basis:
+                leads = leads * next(x for x in b.upper if x)
             return QuadricWeb(frozenset(trio), plane, basis, nodes, part,
-                              base_idx, k_form)
+                              base_idx, k_int.scale(inverse(leads)))
     raise WrongDimensionError("no admissible base-point selection found")
 
 
@@ -318,8 +331,7 @@ def _trilinear_quadrics(surface, plane, members):
         mu, oc = clear_denominators(o.coeffs)
         scale *= mu
         factors.append((h, oc))
-        weights.append([_pencil_weights(h, oc, clear_denominators(m.coeffs)[1])
-                        for m in ms])
+        weights.append([_pencil_weights(h, oc, m.ints) for m in ms])
     q, _ = residual_quadric(surface, plane, fixed)
     scale *= q.lead
     den, top = clear_denominators([scale * q.mat[r][c] for r, c in _UPPER])

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -10,7 +11,7 @@ from cubicgeom.blowup import (SixPoints, incidence_table,
 from cubicgeom.fixtures import fixture_points
 from cubicgeom.linalg import ExactMatrix
 from cubicgeom.multipoly import MultiPoly, monomials, eval_monomial
-from cubicgeom.projgeom import ProjPoint
+from cubicgeom.projgeom import ProjPoint, canonicalize, incidences
 
 
 @pytest.fixture(scope="module", params=["fixture", "eckardt", "species2"])
@@ -115,6 +116,42 @@ def test_sampled_points_on_surface(surface):
     assert len(pts) == 10
     for p in pts:
         assert surface.contains_point(p)
+
+
+def _sampled_centers_oracle(surface, n, seed, avoid):
+    """The sampling loop on canonical Fraction coordinates: each image of the
+    net as given, tested against the avoided lines by its Fraction
+    incidences, and compared by its coordinates."""
+    rng = random.Random(seed)
+    base = {p.coords for p in surface.source}
+    out = []
+    while len(out) < n:
+        coords = [rat(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(2)]
+        pt = canonicalize([rat(1), coords[0], coords[1]])
+        if pt in base:
+            continue
+        vals = [cub.evaluate(pt) for cub in surface.basis]
+        if not any(vals):
+            continue
+        img = canonicalize(vals)
+        if any(not any(incidences(line.plucker, img)) for line in avoid):
+            continue
+        if img not in out:
+            out.append(img)
+    return out
+
+
+@pytest.mark.parametrize("which", ["fixture", "species2"])
+def test_sampled_centers_match_fraction_oracle(which, session,
+                                               species_sessions):
+    # The net is cleared by one common factor: a factor per cubic would
+    # change the map and move every center.
+    s = session if which == "fixture" else species_sessions[2]
+    avoid = list(s.lines.values())
+    for seed in (0, 5):
+        pts = sample_surface_points(s.surface, 4, seed=seed, avoid_lines=avoid)
+        assert [p.coords for p in pts] == _sampled_centers_oracle(
+            s.surface, 4, seed, avoid)
 
 
 def test_no_eckardt_points(lines):

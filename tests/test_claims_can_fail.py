@@ -5,10 +5,13 @@ An injection edits one cached stage of that Session after its planes are
 built, as verify-all builds them first; the group and species claims read
 no Session, so their injection replaces the library function they read.
 
-The cayley_salmon, hexahedral, webs and hexagram claims observe counts that
-their constructions fix (12 pairs, 10 splits, a 4-dimensional web, 60 pairs
-at 3 centers each), so they can fail only by an exception: the construction
-raises a ValueError, which check reports as the detail of the claim's line.
+The cayley_salmon, hexahedral and webs claims observe counts that their
+constructions fix (12 pairs, 10 splits, a 4-dimensional web), so they can
+fail only by an exception: the construction raises a ValueError, which check
+reports as the detail of the claim's line.  The hexagram claim's pair,
+projection and pentahedron counts are fixed the same way (pentahedra builds
+all six or raises), but it also counts its distinct Pascal lines, so a
+fault in how Pascal lines are compared shows as an observed value.
 """
 
 import dataclasses
@@ -66,11 +69,19 @@ def _merge_meets(s, monkeypatch):
     points[second] = points[first]
 
 
-def _swap_matching(s, monkeypatch):
-    """Two partitions of the first form exchange their matched lines."""
-    matched = s.hexlines[0]
-    k1, k2 = list(matched)[:2]
-    matched[k1], matched[k2] = matched[k2], matched[k1]
+def _stale_pascal_ints(s, monkeypatch):
+    """The second Pascal line of the hexagram configuration keeps the first
+    one's integral Plucker vector, while its spanning points, which the
+    projections read, stay its own."""
+    build = cli.hexagram_config
+
+    def config(*args):
+        built = build(*args)
+        first, second = list(built.pascal_lines.values())[:2]
+        second.ints = first.ints
+        return built
+
+    monkeypatch.setattr(cli, "hexagram_config", config)
 
 
 def _halve_group(s, monkeypatch):
@@ -96,7 +107,7 @@ INJECTIONS = {
     "webs": (_repeat_node, "NodeVerificationFailedError"),
     "census": (_move_plane, "NoSolutionError"),
     "grouping": (_merge_meets, None),
-    "hexagram": (_swap_matching, "ValueError"),
+    "hexagram": (_stale_pascal_ints, None),
     "group": (_halve_group, None),
     "species": (_lose_species_5, None),
 }

@@ -238,8 +238,11 @@ def test_clear_denominators_per_level():
     assert cleared == [12 * x for x in values]
     assert [c.den for c in cleared if isinstance(c, FieldElement)] == [1, 1]
     tower, i, t = _gauss_cbrt2()
-    values = [t / 2, i, rat(1, 3)]
-    assert clear_denominators(values) == (1, values)
+    values = [t / 2, i / 4, rat(1, 3)]
+    m, cleared = clear_denominators(values)
+    assert m == 12
+    assert cleared == [12 * x for x in values]
+    assert cleared[:2] == [t * 6, i * 3]
 
 
 def test_residue_is_a_ring_map_onto_z_mod_p():

@@ -30,6 +30,17 @@ def test_index_rule_matches_geometry(config):
         assert sorted(tuple(sorted(k)) for k in containing) == list(part)
 
 
+def test_swapped_matching_violates_index_rule(session):
+    """Two partitions exchanging their matched lines put a line in a plane
+    that does not hold it."""
+    matched = dict(session.hexlines[0])
+    k1, k2 = list(matched)[:2]
+    matched[k1], matched[k2] = matched[k2], matched[k1]
+    with pytest.raises(ValueError, match="index rule violates geometric"):
+        hexagram_config(session.hexform, matched, session.surface,
+                        session.lines)
+
+
 def test_pascal_lines_off_surface(surface, config):
     for line in config.pascal_lines.values():
         assert not surface.contains_line(line)

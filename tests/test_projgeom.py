@@ -36,6 +36,16 @@ def test_point_canonicalization():
     assert _pt(0, -3, 6, 9) == _pt(0, 1, -2, -3)
 
 
+def test_points_compare_by_value_on_every_level():
+    # A rational point held on a level above Q(i) is the same point, with
+    # the same hash, as the point of its rational coordinates.
+    tall = gauss_tower().extend([rat(-2), rat(0), rat(1)])
+    xs = [rat(3, 4), rat(-1, 6), rat(0), rat(5)]
+    p, q = ProjPoint(xs), ProjPoint([tall.embed(x) for x in xs])
+    assert p == q and hash(p) == hash(q)
+    assert p.ints == (9, -2, 0, 60)
+
+
 def test_span_and_meet_roundtrip():
     p1, p2, p3 = _pt(1, 0, 0, 0), _pt(0, 1, 0, 0), _pt(0, 0, 1, 1)
     h = span_plane(p1, p2, p3)

@@ -1,12 +1,14 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubicgeom.field import QQ, rat, rat_str, scalar_from_json, scalar_to_json
+from cubicgeom.field import (QQ, FieldElement, rat, rat_str, scalar_from_json,
+                             scalar_to_json)
 from cubicgeom.linalg import ExactMatrix
 from cubicgeom.multipoly import MultiPoly, monomials
-from cubicgeom.projgeom import canonicalize
+from cubicgeom.projgeom import ProjPoint, canonicalize
 
 rationals = st.builds(rat, st.integers(-40, 40),
                       st.integers(1, 12))
@@ -62,11 +64,35 @@ def test_det_zero_iff_rank_deficient(rows):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(rationals, min_size=4, max_size=4), rationals)
-def test_canonicalization_scale_invariant(coords, scale):
+@given(st.lists(rationals, min_size=4, max_size=4), rationals,
+       st.lists(rationals, min_size=4, max_size=4), st.integers(0, 3))
+def test_canonicalization_scale_invariant(coords, scale, imag, k):
     if not any(coords) or scale == 0:
         return
-    assert canonicalize(coords) == canonicalize([scale * c for c in coords])
+    scaled = [scale * c for c in coords]
+    assert canonicalize(coords) == canonicalize(scaled)
+    p, q = ProjPoint(coords), ProjPoint(scaled)
+    assert p == q and hash(p) == hash(q)
+    # over Q, ints is the primitive integer vector with a positive lead
+    assert all(x.denominator == 1 for x in p.ints)
+    assert gcd(*p.ints) == 1 and next(x for x in p.ints if x) > 0
+    assert p.coords == canonicalize(p.ints)
+    # over Q(i), ints has denominator 1, and equality of points agrees with
+    # equality of their canonical coordinates
+    gauss = QQ.extend([rat(1), rat(0), rat(1)])
+    u = [gauss.embed(a) + gauss.gen() * b for a, b in zip(coords, imag)]
+    v = [(gauss.embed(scale) + gauss.gen()) * x for x in u]
+    w = u[:k] + [u[k] + 1] + u[k + 1:]
+    pu = ProjPoint(u)
+    assert all(x.den == 1 if isinstance(x, FieldElement) else x.denominator == 1
+               for x in pu.ints)
+    for other in (v, w):
+        if not any(other):
+            continue
+        po = ProjPoint(other)
+        same = canonicalize(u) == canonicalize(other)
+        assert (pu == po) == same
+        assert not same or hash(pu) == hash(po)
 
 
 @settings(max_examples=40, deadline=None)

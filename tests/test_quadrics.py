@@ -34,6 +34,16 @@ def web(surface, trio, nodes, planes):
     return quadric_web(surface, trio, nodes, planes[trio])
 
 
+def test_quadric_equality_is_up_to_scale():
+    entries = [0, 6, -4, 10, 2, 0, 8, -14, 12, 4]
+    q = QuadricSurface(_symmetric(entries))
+    scaled = QuadricSurface(_symmetric([rat(-5, 7) * x for x in entries]))
+    assert q == scaled and hash(q) == hash(scaled)
+    assert q.upper == scaled.upper == (0, 3, -2, 5, 1, 0, 4, -7, 6, 2)
+    assert q.mat == tuple(map(tuple, _symmetric([rat(x, 6) for x in entries])))
+    assert q.lead == 6 and scaled.lead == rat(-30, 7)
+
+
 def test_residual_quadric_of_the_plane_itself(surface, trio, lines, planes):
     plane = planes[trio]
     q, alpha = residual_quadric(surface, plane, [plane, plane, plane])
